@@ -64,6 +64,24 @@ def _set_dotted(tree: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _check_keys(tree: dict, defaults: dict, prefix: str = "") -> None:
+    """Every key must exist in the defaults, sections must stay mappings and
+    values must not become mappings; the entries of ``sweep`` are free-form."""
+    for key, val in tree.items():
+        name = f"{prefix}{key}"
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {name!r}")
+        if isinstance(defaults[key], dict):
+            if key == "sweep" and val is None:
+                continue
+            if not isinstance(val, dict):
+                raise ConfigError(f"config key {name!r} must be a mapping, got {val!r}")
+            if key != "sweep":
+                _check_keys(val, defaults[key], f"{name}.")
+        elif isinstance(val, dict):
+            raise ConfigError(f"config key {name!r} takes a value, not a mapping")
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict = field(default_factory=dict)
@@ -87,6 +105,17 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        """Reject unknown keys and malformed values; every failure is a
+        ConfigError, so the CLI exits 2."""
+        _check_keys(self.raw, _DEFAULTS)
+        try:
+            self._validate()
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
+
+    def _validate(self) -> None:
         t = self.raw
         if t["potential"]["kind"] not in POTENTIAL_KINDS:
             raise ConfigError(f"unknown potential kind {t['potential']['kind']!r}")
@@ -109,6 +138,19 @@ class ExperimentConfig:
             p = fam.split("=", 1)[1]
             if not os.path.exists(p):
                 raise ConfigError(f"weight file {p!r} does not exist")
+        # every value the commands convert later, converted once here
+        int(t["graph"]["N"])
+        for key in ("c", "slope", "low", "high"):
+            float(t["potential"][key])
+        float(t["initial"]["epsilon"])
+        for section in ("potential", "initial"):
+            if t[section]["seed"] is not None:
+                int(t[section]["seed"])
+        int(t["seed"])
+        int(t["workers"])
+        float(t["dynamics"]["sign"])
+        self.integrator()
+        self.geodesic()
 
     # -- accessors ---------------------------------------------------------
 

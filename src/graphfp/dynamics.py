@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvariantBreachError, StiffnessError
 from .graph import GraphSpec
-from .metric import metric_inner
+from .metric import MobilityOperator, metric_inner
 from .simplex import ConstantsReport, Density, TangentVector, free_energy, gibbs, \
     l2m_norm_sq, relative_energy
 
@@ -42,8 +42,12 @@ _DP_E = _DP_B5 - _DP_B4
 
 
 def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0):
-    """Array-level right-hand side for one instance; masks that depend only
-    on the potential are precomputed."""
+    """Array-level right-hand side for one instance.
+
+    The potential-ordered kinds are -L(rho) u with u = phi + beta log rho
+    (u = phi at beta = 0), through one sorted-order mobility operator built
+    here; phibar re-sorts by its adjusted potential on every evaluation.
+    """
     m = spec.m
     phi = spec.phi
     beta = spec.beta
@@ -59,53 +63,22 @@ def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0):
 
         return rhs
 
-    if kind == "beta_zero":
-        if beta != 0.0:
-            raise ValueError("zero-diffusion system requires beta = 0")
-        gt = phi[None, :] > phi[:, None]
-        lt = phi[None, :] < phi[:, None]
-        dphi = phi[None, :] - phi[:, None]
-        w_gt = np.where(gt, dphi, 0.0) * m[None, :]
-        w_lt = (np.where(lt, dphi, 0.0) * m[None, :]).sum(axis=1)
-
-        def rhs(y):
-            return w_gt @ y + w_lt * y
-
-        return rhs
-
-    if kind == "fpe":
-        gt = phi[None, :] > phi[:, None]
-        lt = phi[None, :] < phi[:, None]
-        eq = phi[None, :] == phi[:, None]
-        eq_m = eq * m[None, :]
-        eq_deg = eq_m.sum(axis=1)
-
-        def rhs(y):
-            u = phi + beta * np.log(y) if beta > 0.0 else phi
-            du = u[None, :] - u[:, None]
-            t1 = np.where(gt, du, 0.0) @ (m * y)
-            t2 = y * (np.where(lt, du, 0.0) @ m)
-            t3 = beta * (eq_m @ y - eq_deg * y) if beta > 0.0 else 0.0
-            return t1 + t2 + t3
-
-        return rhs
-
     if kind == "phibar":
         if beta <= 0.0:
             raise ValueError("entropy-adjusted ordering requires beta > 0")
 
         def rhs(y):
             ly = np.log(y)
-            u = phi + beta * ly
-            ueff = phi + sign * beta * ly
-            gt = ueff[None, :] > ueff[:, None]
-            lt = ueff[None, :] < ueff[:, None]
-            du = u[None, :] - u[:, None]
-            return np.where(gt, du, 0.0) @ (m * y) + y * (np.where(lt, du, 0.0) @ m)
+            return -MobilityOperator(phi + sign * beta * ly, m).upwind(y, phi + beta * ly)
 
         return rhs
 
-    raise ValueError(f"unknown rhs kind {kind!r}; expected one of {KINDS}")
+    if kind == "beta_zero" and beta != 0.0:
+        raise ValueError("zero-diffusion system requires beta = 0")
+    if kind not in ("fpe", "beta_zero"):
+        raise ValueError(f"unknown rhs kind {kind!r}; expected one of {KINDS}")
+    op = MobilityOperator(phi, m)
+    return lambda y: op.flow(y, beta)
 
 
 def _require_interior_for(spec: GraphSpec, rho: Density):
@@ -506,15 +479,17 @@ def _check_dissipation(traj, fd_samples):
     dt_rec = float(traj.times[1] - traj.times[0]) if len(traj) > 1 else 0.1
     h0 = min(0.1, dt_rec if dt_rec > 0 else 0.1)
     worst = 0.0
+    completed = 0
     for k, g in candidates:
         try:
             slope = _fd_slope(f, spec, traj.states[k].rho, h0)
         except FloatingPointError:
             continue
+        completed += 1
         rel = abs(slope + g) / max(abs(g), 1e-300)
         worst = max(worst, rel)
     return CheckResult(worst <= DISSIPATION_REL_TOL, DISSIPATION_REL_TOL - worst,
-                       detail=f"{len(candidates)} sampled times")
+                       detail=f"{completed} sampled times")
 
 
 def decay_rate_fit(traj: TrajectoryRecord) -> float:

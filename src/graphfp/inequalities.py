@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 from .errors import ConvergenceError
 from .graph import WeightSequence, estimate_tail_cutoff, min_weight_prefix
 from .metric import GeodesicConfig, GeodesicResult, geodesic_distance
-from .simplex import Density, l2m_norm_sq, relative_entropy
+from .simplex import Density, _exp_safe, l2m_norm_sq, relative_entropy
 
 W1_BUDGET = 500
 SQRT2 = math.sqrt(2.0)
@@ -28,13 +28,6 @@ TALAGRAND_SLACK = 1e-9
 W1_BOUND_SLACK = 1e-6
 
 GROUND_METRIC_NOTE = "unit distance between all distinct vertex pairs"
-
-
-def _exp_safe(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The tangent identification works through pairwise mobility coefficients:
 the upwind density on potential-ordered pairs and the logarithmic mean on
-potential ties. They define a weighted dense Laplacian whose inverse gives
-the metric tensor; geodesic distances are estimated from above by
-minimizing a discretized path action.
+potential ties. They define the mobility Laplacian L(rho), applied in
+potential-sorted order by prefix sums (:class:`MobilityOperator`); its
+inverse gives the metric tensor, and geodesic distances are estimated
+from above by minimizing a discretized path action.
 """
 
 from __future__ import annotations
@@ -16,14 +17,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .simplex import Density, TangentVector, l2m_norm_sq
-
-# Full mobility matrices are materialized up to this size; beyond it the
-# network is still dense (every weight is positive) so rows are generated
-# on the fly inside matrix-vector products.
-DENSE_LIMIT = 2000
-
-# Direct bordered solves up to this size; conjugate gradients beyond.
-DIRECT_LIMIT = 600
 
 INVERT_RTOL = 1e-10
 
@@ -66,16 +59,230 @@ def _log_mean_partial(a, b):
     return np.where(near, series, direct)
 
 
-def _tau_values(rho_rows, rho_cols, phi):
-    """Mobility coefficients for row densities against column densities.
+def _prefix(x):
+    """Sums over the positions before each index, along the last axis
+    (length n + 1: entry k sums positions < k)."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.add.accumulate(x, axis=-1, out=out[..., 1:])
+    return out
 
-    ``rho_rows``/``rho_cols`` broadcast against a (rows, cols) grid; the
-    branch is picked by exact comparison of the potential values.
+
+def _suffix(x):
+    """Sums over the positions from each index on (length n + 1, last 0)."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.add.accumulate(x[..., ::-1], axis=-1, out=out[..., -2::-1])
+    return out
+
+
+class MobilityOperator:
+    """Mobility Laplacian (L(rho) p)_i = sum_j m_j tau_ij (p_i - p_j) of one
+    potential ordering, for any density rho.
+
+    tau_ij is the density of the higher-potential endpoint, and the
+    logarithmic mean of the two densities on potential ties. With the
+    vertices stably sorted by potential, the strictly lower vertices of i
+    contribute rho_i sum m_j (p_i - p_j) and the strictly higher ones
+    sum m_j rho_j (p_i - p_j): prefix and suffix sums. Only pairs inside a
+    tie group are visited one by one. Building costs one sort; every
+    product is O(N) plus the tie pairs. Work is done in sorted order.
     """
-    gt = phi[..., :, None] > phi[..., None, :]
-    lt = phi[..., :, None] < phi[..., None, :]
-    lm = log_mean(rho_rows, rho_cols)
-    return np.where(gt, rho_rows, np.where(lt, rho_cols, lm))
+
+    def __init__(self, key, m):
+        key = np.asarray(key, dtype=float)
+        n = key.size
+        self.n = n
+        self.m = m
+        self.order = key.argsort(kind="stable")
+        self._key = key[self.order]
+        self._ms = m[self.order]
+        new = np.empty(n, dtype=bool)
+        new[:1] = True
+        np.not_equal(self._key[1:], self._key[:-1], out=new[1:])
+        self.has_ties = not new.all()
+        if self.has_ties:
+            self._starts = np.flatnonzero(new)
+            self._group = np.cumsum(new) - 1          # tie group of each sorted position
+            ends = np.append(self._starts[1:], n)
+            self._lo = self._starts[self._group]      # first position of the group
+            self._hi = ends[self._group]              # one past its last position
+            count = self._hi - np.arange(n) - 1       # later positions in the group
+            a = np.repeat(np.arange(n), count)
+            offset = np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+            self._pairs = (a, a + 1 + offset)         # sorted positions of every tie pair
+            size = ends - self._starts
+            self._blocks = [self._starts[size == k][:, None] + np.arange(k)
+                            for k in np.unique(size[size > 1])]
+        else:
+            self._lo = slice(0, n)
+            self._hi = slice(1, n + 1)
+        self._prefix_m = _prefix(self._ms)
+        self._low_m = self._prefix_m[self._lo]        # mass strictly below the group
+
+    def _unsort(self, xs):
+        out = np.empty_like(xs)
+        out[..., self.order] = xs
+        return out
+
+    def _upwind(self, rs, mr, us):
+        """Sorted-order sum over j outside the tie group of i of
+        m_j tau_ij (u_i - u_j), given rho and m rho in sorted order."""
+        us = us - us[0]   # L annihilates constants; smaller prefix sums lose less
+        low = _prefix(self._ms * us)[self._lo]
+        high = _suffix(mr * us)[self._hi]
+        return rs * (us * self._low_m - low) + us * _suffix(mr)[self._hi] - high
+
+    def _tie_scatter(self, wa, wb):
+        """Per sorted position, the sum of ``wa`` over its tie pairs (a, .)
+        plus the sum of ``wb`` over its tie pairs (., b)."""
+        a, b = self._pairs
+        return np.bincount(a, wa, self.n) + np.bincount(b, wb, self.n)
+
+    def apply(self, rho, p):
+        """L(rho) p."""
+        o = self.order
+        rs, ps = rho[o], p[o]
+        out = self._upwind(rs, self._ms * rs, ps)
+        if self.has_ties:
+            a, b = self._pairs
+            flux = log_mean(rs[a], rs[b]) * (ps[a] - ps[b])
+            out += self._tie_scatter(self._ms[b] * flux, -self._ms[a] * flux)
+        return self._unsort(out)
+
+    def wdeg(self, rho):
+        """Weighted degree sum_j m_j tau_ij, the diagonal of L(rho)."""
+        rs = rho[self.order]
+        mr = self._ms * rs
+        out = rs * self._low_m + _suffix(mr)[self._hi] + mr
+        if self.has_ties:
+            a, b = self._pairs
+            lm = log_mean(rs[a], rs[b])
+            out += self._tie_scatter(self._ms[b] * lm, self._ms[a] * lm)
+        return self._unsort(out)
+
+    def upwind(self, rho, u):
+        """sum over j outside the tie group of i of m_j tau_ij (u_i - u_j)."""
+        o = self.order
+        rs = rho[o]
+        return self._unsort(self._upwind(rs, self._ms * rs, u[o]))
+
+    def flow(self, rho, beta):
+        """Right-hand side -L(rho) u of the flow, u = key + beta log rho,
+        for the operator of the potential ``key``.
+
+        On a tie, log_mean(rho_i, rho_j) (u_i - u_j) = beta (rho_i - rho_j)
+        exactly, so ties need only their group sums.
+        """
+        rs = rho[self.order]
+        mr = self._ms * rs
+        us = self._key + beta * np.log(rs) if beta != 0.0 else self._key
+        out = self._upwind(rs, mr, us)
+        if beta != 0.0 and self.has_ties:
+            group = self._group
+            mass = np.add.reduceat(self._ms, self._starts)[group]
+            out += beta * (mass * rs - np.add.reduceat(mr, self._starts)[group])
+        return -self._unsort(out)
+
+    def solve(self, rho, sigma):
+        """Mean-free p with L(rho) p = sigma, exactly, stacked over the
+        leading axes of rho and sigma (sigma mean-free on the last axis).
+
+        Cut the sorted vertices above tie group g. The m-weighted flux of
+        L(rho) p across the cut is A_g B_g - S_g C_g, where S_g and A_g sum
+        m and m p up to g, and B_g and C_g sum m rho and m rho p above g. It
+        equals the sum of m sigma up to g. Take <m, p> = 0, so A_g = -D_g with
+        D_g the sum of m p above g. Eliminating C_g between two consecutive
+        cuts leaves y_g = D_g / S_g with increments delta_g = y_{g-1} - y_g
+        that involve group g alone. So y is a suffix sum of delta, and
+        p = h_g - y_g on group g, with h_g from group g alone as well.
+
+        A group's pressure solves its block diag(rho S'_g + B_g) plus the
+        tie Laplacian, S'_g = S_{g-1}; groups of one size are solved as one
+        batch of small dense systems. A single vertex k needs no solve: with
+        W_k = rho_k S_k + B_k and v_k = sigma_k minus the m-mean of sigma
+        below k,
+
+            delta_k = m_k v_k / (S_k W_k),   h_k = (S_{k-1} / S_k) v_k / W_k.
+
+        No difference of near-equal sums is formed, so tiny weights keep
+        full accuracy.
+        """
+        o = self.order
+        ms, lo, hi = self._ms, self._lo, self._hi
+        rs, ss = rho[..., o], sigma[..., o]
+        below, upto = self._low_m, self._prefix_m[hi]
+        inv_below = np.divide(1.0, below, out=np.zeros(self.n), where=below > 0.0)
+        high = _suffix(ms * rs)[..., hi]                        # B
+        v = ss - _prefix(ms * ss)[..., lo] * inv_below          # sigma - lower mean
+        w = rs * upto + high
+        delta = ms * v / (upto * w)
+        h = (below / upto) * v / w
+        if self.has_ties:
+            for pos in self._blocks:
+                self._solve_groups(pos, rs, high, v, h, delta)
+        p = h - _suffix(delta)[..., hi]
+        p = p - (p @ ms)[..., None]
+        return self._unsort(p)
+
+    def _solve_groups(self, pos, rs, high, v, h, delta):
+        """Write h and delta (at each group's first position, zero at the
+        others) for the tie groups whose positions are the rows of ``pos``."""
+        mp = self._ms[pos]                                  # (G, s)
+        mass = mp.sum(axis=-1)
+        below, upto = self._low_m[pos[:, 0]], self._prefix_m[self._hi[pos[:, 0]]]
+        r = rs[..., pos]                                    # (..., G, s)
+        b_up = high[..., pos[:, 0]]                         # (..., G)
+        vg = v[..., pos]
+        vbar = (vg * mp).sum(axis=-1) / mass
+        lm = log_mean(r[..., :, None], r[..., None, :]) * mp[:, None, :]
+        diag = r * below[:, None] + b_up[..., None] + lm.sum(axis=-1)
+        mat = -lm
+        s = pos.shape[1]
+        idx = np.arange(s)
+        mat[..., idx, idx] += diag
+        if self.n == s:   # one group: no cut, pin the mean instead
+            mat += mp[:, None, :]
+        rhs = np.stack([vg - vbar[..., None], np.ones_like(r), r], axis=-1)
+        a, c, b = np.moveaxis(np.linalg.solve(mat, rhs), -1, 0)
+        beta = (mp * b).sum(axis=-1)
+        gamma = (mp * c).sum(axis=-1)
+        # <m, a> / S'_g, through the identity m^T M = (m (rho S'_g + B_g))^T
+        # whenever B_g dominates, where the direct quotient would cancel
+        with np.errstate(divide="ignore", invalid="ignore"):
+            via_below = (mp * a).sum(axis=-1) / below
+            via_above = -(mp * r * a).sum(axis=-1) / b_up
+        lead = np.where(b_up > below, via_above, via_below)
+        dg = np.where(below > 0.0, (lead + vbar * gamma / upto) / (1.0 + beta), 0.0)
+        h[..., pos] = a + (vbar * below / upto)[..., None] * c - (below * dg)[..., None] * b
+        d = np.zeros_like(r)
+        d[..., 0] = dg
+        delta[..., pos] = d
+
+    def tau(self, rho):
+        """Dense mobility matrix tau_ij, stacked over the leading axes of rho."""
+        rank = self._unsort(self._group if self.has_ties else np.arange(self.n))
+        rho = np.asarray(rho, dtype=float)
+        out = np.where(rank[:, None] > rank[None, :], rho[..., :, None], rho[..., None, :])
+        if self.has_ties:
+            i, j = self.tie_pairs
+            lm = log_mean(rho[..., i], rho[..., j])
+            out[..., i, j] = lm
+            out[..., j, i] = lm
+        return out
+
+    @property
+    def tie_pairs(self):
+        """(i, j) vertex index arrays of every unordered pair inside a tie group."""
+        a, b = self._pairs if self.has_ties else (np.empty(0, dtype=np.intp),) * 2
+        return self.order[a], self.order[b]
+
+    def below_sq(self, p):
+        """sum over j strictly below i of m_j (p_i - p_j)^2, along the last axis."""
+        ps = p[..., self.order]
+        ps = ps - ps[..., :1]
+        mp = self._ms * ps
+        s1 = _prefix(mp)[..., self._lo]
+        s2 = _prefix(mp * ps)[..., self._lo]
+        return self._unsort(ps * (ps * self._low_m - 2.0 * s1) + s2)
 
 
 @dataclass(frozen=True)
@@ -95,117 +302,17 @@ def mobility_weights(rho: Density, phi) -> MobilityWeights:
     mean on ties (including the diagonal, where it equals rho_i)."""
     rho.require_interior("mobility weights")
     phi = np.asarray(phi, dtype=float)
-    n = rho.rho.size
-    if n > DENSE_LIMIT:
-        raise ValueError(f"dense mobility matrix limited to N <= {DENSE_LIMIT}")
-    r = rho.rho
-    tau = _tau_values(r[:, None], r[None, :], phi)
+    tau = MobilityOperator(phi, rho.weights.m).tau(rho.rho)
     return MobilityWeights(values=tau, rho=rho, phi=phi)
-
-
-def _tau_block(rho, phi, i0, i1):
-    gt = phi[i0:i1, None] > phi[None, :]
-    lt = phi[i0:i1, None] < phi[None, :]
-    lm = log_mean(rho[i0:i1, None], rho[None, :])
-    return np.where(gt, rho[i0:i1, None], np.where(lt, rho[None, :], lm))
-
-
-class _MobilityOperator:
-    """sigma = L p with L_ij p = sum_j m_j tau_ij (p_i - p_j).
-
-    Dense matrices below DENSE_LIMIT, blocked row generation above.
-    """
-
-    def __init__(self, rho: np.ndarray, phi: np.ndarray, m: np.ndarray, block: int = 512):
-        self.rho = rho
-        self.phi = phi
-        self.m = m
-        self.n = rho.size
-        self.block = block
-        if self.n <= DENSE_LIMIT:
-            self.tau = _tau_values(rho[:, None], rho[None, :], phi)
-            self.wdeg = self.tau @ m
-        else:
-            self.tau = None
-            wdeg = np.empty(self.n)
-            for i0 in range(0, self.n, block):
-                i1 = min(i0 + block, self.n)
-                wdeg[i0:i1] = _tau_block(rho, phi, i0, i1) @ m
-            self.wdeg = wdeg
-
-    def matvec(self, p: np.ndarray) -> np.ndarray:
-        mp = self.m * p
-        if self.tau is not None:
-            return p * self.wdeg - self.tau @ mp
-        out = np.empty(self.n)
-        for i0 in range(0, self.n, self.block):
-            i1 = min(i0 + self.block, self.n)
-            blk = _tau_block(self.rho, self.phi, i0, i1)
-            out[i0:i1] = p[i0:i1] * self.wdeg[i0:i1] - blk @ mp
-        return out
 
 
 def apply_mobility(rho: Density, phi, p) -> TangentVector:
     """Map a pressure-like vector p to the tangent sigma_i =
     sum_j m_j tau_ij (p_i - p_j); constants map to zero."""
     rho.require_interior("mobility application")
-    phi = np.asarray(phi, dtype=float)
     p = np.asarray(p, dtype=float)
-    op = _MobilityOperator(rho.rho, phi, rho.weights.m)
-    return TangentVector(op.matvec(p), rho.weights, mean_tol=1e-10)
-
-
-def _project_mean(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return x - float(np.dot(m, x))
-
-
-def _invert_direct(op: _MobilityOperator, sigma: np.ndarray) -> np.ndarray:
-    n = op.n
-    m = op.m
-    # Bordered symmetric system (M L) p + lambda m = M sigma, <m, p> = 0.
-    A = np.empty((n + 1, n + 1))
-    A[:n, :n] = -(m[:, None] * m[None, :]) * op.tau
-    A[np.arange(n), np.arange(n)] += m * op.wdeg
-    A[:n, n] = m
-    A[n, :n] = m
-    A[n, n] = 0.0
-    rhs = np.concatenate([m * sigma, [0.0]])
-    sol = np.linalg.solve(A, rhs)
-    return _project_mean(sol[:n], m)
-
-
-def _invert_cg(op: _MobilityOperator, sigma: np.ndarray, rtol: float,
-               x0: np.ndarray | None = None, max_iter: int | None = None):
-    m = op.m
-    b = sigma
-    bnorm = math.sqrt(l2m_dot(m, b, b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    x = np.zeros_like(b) if x0 is None else _project_mean(x0.copy(), m)
-    r = _project_mean(b - op.matvec(x), m)
-    z = _project_mean(r / op.wdeg, m)
-    p = z.copy()
-    rz = l2m_dot(m, r, z)
-    budget = max_iter if max_iter is not None else 40 * op.n + 200
-    for _ in range(budget):
-        if math.sqrt(l2m_dot(m, r, r)) <= rtol * bnorm:
-            return x
-        ap = _project_mean(op.matvec(p), m)
-        denom = l2m_dot(m, p, ap)
-        if denom <= 0.0:
-            break
-        alpha = rz / denom
-        x = _project_mean(x + alpha * p, m)
-        r = _project_mean(r - alpha * ap, m)
-        z = _project_mean(r / op.wdeg, m)
-        rz_new = l2m_dot(m, r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if math.sqrt(l2m_dot(m, r, r)) <= rtol * bnorm:
-        return x
-    raise ConvergenceError(
-        f"mobility inversion stalled (inf rho = {op.rho.min():.3e} bounds the spectral gap)"
-    )
+    op = MobilityOperator(phi, rho.weights.m)
+    return TangentVector(op.apply(rho.rho, p), rho.weights, mean_tol=1e-10)
 
 
 def l2m_dot(m, x, y) -> float:
@@ -213,21 +320,20 @@ def l2m_dot(m, x, y) -> float:
 
 
 def invert_mobility(rho: Density, phi, sigma: TangentVector, rtol: float = INVERT_RTOL) -> np.ndarray:
-    """Unique mean-free p with apply_mobility(rho, phi, p) = sigma."""
+    """Unique mean-free p with apply_mobility(rho, phi, p) = sigma; the
+    relative residual in the m-weighted norm is checked against ``rtol``."""
     rho.require_interior("mobility inversion")
-    phi = np.asarray(phi, dtype=float)
     m = rho.weights.m
     s = sigma.sigma
     if float(np.abs(s).max()) == 0.0:
         return np.zeros_like(s)
-    op = _MobilityOperator(rho.rho, phi, m)
-    if op.n <= DIRECT_LIMIT:
-        p = _invert_direct(op, s)
-        res = op.matvec(p) - s
-        if math.sqrt(l2m_dot(m, res, res)) > rtol * math.sqrt(l2m_dot(m, s, s)):
-            p = _invert_cg(op, s, 0.5 * rtol, x0=p)
-        return p
-    return _invert_cg(op, s, 0.5 * rtol)
+    op = MobilityOperator(phi, m)
+    p = op.solve(rho.rho, s)
+    res = op.apply(rho.rho, p) - s
+    if not math.sqrt(l2m_dot(m, res, res)) <= rtol * math.sqrt(l2m_dot(m, s, s)):
+        raise ConvergenceError(
+            f"mobility inversion residual above {rtol:.1e} (inf rho = {rho.inf:.3e})")
+    return p
 
 
 def metric_inner(rho: Density, phi, sigma1: TangentVector, sigma2: TangentVector) -> float:
@@ -299,11 +405,10 @@ def kernel_dimension_check(rho: Density, phi, rel_tol: float = 1e-10) -> int:
     n = rho.rho.size
     if n > 500:
         raise ValueError("dense eigensolve budget is N <= 500")
-    phi = np.asarray(phi, dtype=float)
     m = rho.weights.m
-    op = _MobilityOperator(rho.rho, phi, m)
+    op = MobilityOperator(phi, m)
     sq = np.sqrt(m)
-    sym = np.diag(op.wdeg) - op.tau * (sq[:, None] * sq[None, :])
+    sym = np.diag(op.wdeg(rho.rho)) - op.tau(rho.rho) * (sq[:, None] * sq[None, :])
     evals = np.linalg.eigvalsh(sym)
     top = float(np.abs(evals).max())
     if not math.isfinite(top) or top == 0.0:
@@ -354,45 +459,39 @@ class GeodesicResult:
         }
 
 
-def _segment_solve(path, phi, m):
-    """Batched mobility inversion on every segment midpoint.
+def _segment_solve(path, op: MobilityOperator):
+    """Mobility inversion on every segment midpoint, all segments at once.
 
-    Returns (action, P, mids, tau) where P[k] is the pressure of segment k
-    and the action uses the midpoint metric with uniform time steps.
+    Returns (action, P, mids) where P[k] is the pressure of segment k and
+    the action uses the midpoint metric with uniform time steps.
     """
+    m = op.m
     K = path.shape[0] - 1
-    n = path.shape[1]
     mids = 0.5 * (path[:-1] + path[1:])
     V = path[1:] - path[:-1]
     V = V - (V @ m)[:, None]
-    tau = _tau_values(mids[:, :, None], mids[:, None, :], phi)
-    wdeg = tau @ m
-    A = np.zeros((K, n + 1, n + 1))
-    A[:, :n, :n] = -(m[:, None] * m[None, :]) * tau
-    idx = np.arange(n)
-    A[:, idx, idx] += m * wdeg
-    A[:, :n, n] = m
-    A[:, n, :n] = m
-    rhs = np.concatenate([m * V, np.zeros((K, 1))], axis=1)
-    sol = np.linalg.solve(A, rhs[..., None])[..., 0]
-    P = sol[:, :n]
-    P = P - (P @ m)[:, None]
+    P = op.solve(mids, V)
     energies = K * ((m * P * V).sum(axis=1))
-    return float(energies.sum()), P, mids, tau
+    return float(energies.sum()), P, mids
 
 
-def _path_gradient(path, phi, m, P, mids):
-    """Euclidean gradient of the discrete action at the interior knots."""
+def _path_gradient(path, op: MobilityOperator, P, mids):
+    """Euclidean gradient of the discrete action at the interior knots.
+
+    G[k, l] = -m_l sum_j m_j (d tau_lj / d rho_l) (P_kl - P_kj)^2, where the
+    derivative is 1 for j below l, 0 above it, and the log-mean partial on
+    ties: prefix sums for the ordered pairs, the tie pairs one by one.
+    """
+    m = op.m
     K = path.shape[0] - 1
-    gt = phi[:, None] > phi[None, :]
-    lt = phi[:, None] < phi[None, :]
-    dlm = _log_mean_partial(mids[:, :, None], mids[:, None, :])
-    dtau = np.where(gt, 1.0, np.where(lt, 0.0, dlm))
-    dp2 = (P[:, :, None] - P[:, None, :]) ** 2
-    # G[k, l] = -m_l sum_j m_j dtau[k, l, j] dp2[k, l, j]
-    G = -m[None, :] * ((dtau * dp2) @ m)
-    grad = K * (2.0 * m[None, :] * (P[:-1] - P[1:]) + 0.5 * (G[:-1] + G[1:]))
-    return grad
+    inner = op.below_sq(P)
+    if op.has_ties:
+        i, j = op.tie_pairs
+        d2 = (P[:, i] - P[:, j]) ** 2
+        np.add.at(inner, (slice(None), i), m[j] * _log_mean_partial(mids[:, i], mids[:, j]) * d2)
+        np.add.at(inner, (slice(None), j), m[i] * _log_mean_partial(mids[:, j], mids[:, i]) * d2)
+    G = -m * inner
+    return K * (2.0 * m[None, :] * (P[:-1] - P[1:]) + 0.5 * (G[:-1] + G[1:]))
 
 
 def _resample_path(arr: np.ndarray, knots: int) -> np.ndarray:
@@ -417,7 +516,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     the unit-mass slice after every trial step, and steps that cross the
     positivity floor are rejected outright. The returned distance is the
     square root of the minimized action, which equals the arc length at the
-    constant-speed minimizer and can only decrease as ``knots`` grows.
+    constant-speed minimizer.
     """
     rho_a.require_interior("geodesic endpoint")
     rho_b.require_interior("geodesic endpoint")
@@ -455,11 +554,12 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     def grad_sup(d):
         return math.sqrt(float(((d * d) @ m).max()))
 
-    act, P, mids, _ = _segment_solve(x, phi, m)
+    op = MobilityOperator(phi, m)
+    act, P, mids = _segment_solve(x, op)
     history = [act]
     warn: list[str] = []
     converged = False
-    gnorm = grad_sup(direction(_path_gradient(x, phi, m, P, mids)))
+    gnorm = grad_sup(direction(_path_gradient(x, op, P, mids)))
     it = 0
     eta = 1.0
     y = x.copy()
@@ -471,8 +571,8 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     # the extrapolation whenever it stops paying off; plain backtracking
     # steps are taken from the restart point.
     for it in range(1, config.max_iters + 1):
-        a_y, p_y, mids_y, _ = _segment_solve(y, phi, m)
-        d = direction(_path_gradient(y, phi, m, p_y, mids_y))
+        a_y, p_y, mids_y = _segment_solve(y, op)
+        d = direction(_path_gradient(y, op, p_y, mids_y))
         desc = float(((d * d) @ m).sum())
         at_anchor = momentum == 1.0 and np.array_equal(y, x)
         if at_anchor:
@@ -490,7 +590,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
             if cand[1:-1].min() < config.positivity_floor:
                 eta *= 0.5
                 continue
-            c_act, _, _, _ = _segment_solve(cand, phi, m)
+            c_act, _, _ = _segment_solve(cand, op)
             if c_act <= a_y - 1e-4 * eta * desc:
                 accepted = True
                 break
@@ -524,14 +624,14 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
             break
         eta *= 1.2
         if it % 8 == 0:
-            _, p_x, mids_x, _ = _segment_solve(x, phi, m)
-            gnorm = grad_sup(direction(_path_gradient(x, phi, m, p_x, mids_x)))
+            _, p_x, mids_x = _segment_solve(x, op)
+            gnorm = grad_sup(direction(_path_gradient(x, op, p_x, mids_x)))
             if gnorm <= config.grad_tol * (1.0 + abs(act)):
                 converged = True
                 break
     if not converged:
-        final_act, final_p, final_mids, _ = _segment_solve(x, phi, m)
-        gnorm = grad_sup(direction(_path_gradient(x, phi, m, final_p, final_mids)))
+        _, final_p, final_mids = _segment_solve(x, op)
+        gnorm = grad_sup(direction(_path_gradient(x, op, final_p, final_mids)))
         if gnorm <= config.grad_tol * (1.0 + abs(act)):
             converged = True
             warn = [w for w in warn if w != "stall"]

@@ -1,0 +1,110 @@
+"""Dense N x N reference formulas for the sorted-order mobility operator.
+
+Every quantity is built from the full pairwise mobility matrix with
+explicit potential-order masks, one pair at a time, so it shares no
+summation order or tie bookkeeping with :mod:`graphfp.metric`. The tests
+compare the library against these formulas.
+"""
+
+import numpy as np
+
+from graphfp.metric import _log_mean_partial, log_mean
+
+
+def tau(rho, phi):
+    """Mobility matrix tau_ij (stacked over the leading axes of ``rho``):
+    the higher-potential density off ties, the logarithmic mean on ties."""
+    rho = np.asarray(rho, dtype=float)
+    gt = phi[:, None] > phi[None, :]
+    lt = phi[:, None] < phi[None, :]
+    ri, rj = rho[..., :, None], rho[..., None, :]
+    return np.where(gt, ri, np.where(lt, rj, log_mean(ri, rj)))
+
+
+def wdeg(rho, phi, m):
+    return tau(rho, phi) @ m
+
+
+def matvec(rho, phi, m, p):
+    """(L p)_i = sum_j m_j tau_ij (p_i - p_j)."""
+    t = tau(rho, phi)
+    return p * (t @ m) - t @ (m * p)
+
+
+def invert(rho, phi, m, sigma):
+    """Mean-free p with L p = sigma, by the bordered symmetric system
+    (M L) p + lambda m = M sigma, <m, p> = 0."""
+    n = rho.size
+    t = tau(rho, phi)
+    A = np.empty((n + 1, n + 1))
+    A[:n, :n] = -(m[:, None] * m[None, :]) * t
+    A[np.arange(n), np.arange(n)] += m * (t @ m)
+    A[:n, n] = m
+    A[n, :n] = m
+    A[n, n] = 0.0
+    sol = np.linalg.solve(A, np.concatenate([m * sigma, [0.0]]))
+    p = sol[:n]
+    return p - float(np.dot(m, p))
+
+
+def rhs(kind, spec, sign=-1.0):
+    """Array-level right-hand sides with pairwise branch masks."""
+    m, phi, beta = spec.m, spec.phi, spec.beta
+    if kind == "beta_zero":
+        gt = phi[None, :] > phi[:, None]
+        lt = phi[None, :] < phi[:, None]
+        dphi = phi[None, :] - phi[:, None]
+        w_gt = np.where(gt, dphi, 0.0) * m[None, :]
+        w_lt = (np.where(lt, dphi, 0.0) * m[None, :]).sum(axis=1)
+        return lambda y: w_gt @ y + w_lt * y
+    if kind == "fpe":
+        gt = phi[None, :] > phi[:, None]
+        lt = phi[None, :] < phi[:, None]
+        eq_m = (phi[None, :] == phi[:, None]) * m[None, :]
+        eq_deg = eq_m.sum(axis=1)
+
+        def fpe(y):
+            u = phi + beta * np.log(y) if beta > 0.0 else phi
+            du = u[None, :] - u[:, None]
+            t1 = np.where(gt, du, 0.0) @ (m * y)
+            t2 = y * (np.where(lt, du, 0.0) @ m)
+            t3 = beta * (eq_m @ y - eq_deg * y) if beta > 0.0 else 0.0
+            return t1 + t2 + t3
+
+        return fpe
+    if kind == "phibar":
+        def phibar(y):
+            ly = np.log(y)
+            u = phi + beta * ly
+            ueff = phi + sign * beta * ly
+            gt = ueff[None, :] > ueff[:, None]
+            lt = ueff[None, :] < ueff[:, None]
+            du = u[None, :] - u[:, None]
+            return np.where(gt, du, 0.0) @ (m * y) + y * (np.where(lt, du, 0.0) @ m)
+
+        return phibar
+    raise ValueError(kind)
+
+
+def segment_solve(path, phi, m):
+    """(action, P, mids) of the midpoint-rule path action, by one bordered
+    dense solve per segment."""
+    K = path.shape[0] - 1
+    mids = 0.5 * (path[:-1] + path[1:])
+    V = path[1:] - path[:-1]
+    V = V - (V @ m)[:, None]
+    P = np.array([invert(mids[k], phi, m, V[k]) for k in range(K)])
+    return float(K * (m * P * V).sum()), P, mids
+
+
+def path_gradient(path, phi, m, P, mids):
+    """Gradient of the action at the interior knots, from the pairwise
+    derivative d tau_lj / d rho_l."""
+    K = path.shape[0] - 1
+    gt = phi[:, None] > phi[None, :]
+    lt = phi[:, None] < phi[None, :]
+    dlm = _log_mean_partial(mids[:, :, None], mids[:, None, :])
+    dtau = np.where(gt, 1.0, np.where(lt, 0.0, dlm))
+    dp2 = (P[:, :, None] - P[:, None, :]) ** 2
+    G = -m[None, :] * ((dtau * dp2) @ m)
+    return K * (2.0 * m[None, :] * (P[:-1] - P[1:]) + 0.5 * (G[:-1] + G[1:]))

@@ -134,6 +134,24 @@ class TestSimulateCommand:
             out=tmp_path / "out", seed=5))
         assert run(["simulate", "--config", cfg, "--set", "dynamics.kind=rk"]) == 2
 
+    def test_wrong_type_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, BASE.format(
+            n=12, pot="constant", beta=1.0, eps=0.3, t_end=0.5, rec=0.25,
+            out=tmp_path / "out", seed=5))
+        assert run(["simulate", "--config", cfg, "--set", "graph=5"]) == 2
+        assert run(["simulate", "--config", cfg, "--set", "graph.N=[3]"]) == 2
+        assert run(["simulate", "--config", cfg, "--set", "graph.N.x=3"]) == 2
+        assert run(["simulate", "--config", cfg, "--set", "beta=abc"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_key_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, BASE.format(
+            n=12, pot="constant", beta=1.0, eps=0.3, t_end=0.5, rec=0.25,
+            out=tmp_path / "out", seed=5))
+        assert run(["simulate", "--config", cfg, "--set", "integrator.tend=0.1"]) == 2
+        assert run(["simulate", "--config", cfg, "--set", "colour=red"]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_reference_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, """
 graph: {family: "geometric:q=0.5", N: 5}

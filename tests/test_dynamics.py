@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import graphfp as g
+from graphfp import dynamics
 from graphfp.dynamics import monitor
 from graphfp.errors import InsufficientDataError, StiffnessError
 from helpers import explicit_weights, half_weights, perturbed_gibbs, random_instance, \
@@ -264,6 +265,30 @@ class TestMonitor:
         assert rep.checks["dissipation_identity"].skipped  # metric is out of scope here
         assert not rep.checks["free_energy_decrease"].skipped
         assert not rep.checks["relative_energy_decrease"].skipped
+
+    def test_dissipation_counts_completed_samples(self, monkeypatch):
+        spec = random_instance(6, 12, beta=1.0)
+        rho0 = perturbed_gibbs(spec, 0.5, 7)
+        traj = g.integrate("fpe", rho0, spec,
+                           g.IntegratorConfig(t_end=1.0, record_every=0.05))
+
+        def samples():
+            detail = monitor(traj, None, fd_samples=6).checks["dissipation_identity"].detail
+            return int(detail.split()[0])
+
+        full = samples()
+        assert full == 6
+        probe = dynamics._rk4_advance
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise FloatingPointError("left the positive cone during probe")
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_rk4_advance", fail_once)
+        assert samples() == full - 1
 
     def test_master_includes_sup_norm_decay(self):
         spec = _spec(np.zeros(6), beta=1.5, seed=2)

@@ -11,7 +11,8 @@ from scipy.integrate import quad
 
 import graphfp as g
 from graphfp import metric
-from graphfp.metric import _path_gradient, _segment_solve
+from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve
+import dense_oracle
 from helpers import explicit_weights, half_weights, random_interior, random_tangent
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6)
@@ -156,27 +157,25 @@ class TestInvertMobility:
         rel = math.sqrt(g.l2m_norm_sq(resid, w) / g.l2m_norm_sq(sig.sigma, w))
         assert rel <= 1e-10
 
-    def test_cg_matches_direct(self, monkeypatch):
+    def test_solve_matches_dense_oracle(self):
         w = explicit_weights(60, seed=5)
         rho = random_interior(5, w)
         phi = np.random.default_rng(5).uniform(-1, 1, 60)
         sig = random_tangent(6, w)
-        direct = g.invert_mobility(rho, phi, sig)
-        monkeypatch.setattr(metric, "DIRECT_LIMIT", 10)
-        via_cg = g.invert_mobility(rho, phi, sig)
-        np.testing.assert_allclose(via_cg, direct, atol=1e-8 * (1 + np.abs(direct).max()))
+        direct = dense_oracle.invert(rho.rho, phi, w.m, sig.sigma)
+        solved = g.invert_mobility(rho, phi, sig)
+        np.testing.assert_allclose(solved, direct, atol=1e-8 * (1 + np.abs(direct).max()))
 
-    def test_blocked_operator_matches_dense(self, monkeypatch):
+    def test_operator_matches_dense_oracle(self):
         w = explicit_weights(70, seed=9)
         rho = random_interior(9, w)
         phi = np.random.default_rng(9).uniform(-1, 1, 70)
         p = np.random.default_rng(10).normal(size=70)
-        dense = metric._MobilityOperator(rho.rho, phi, w.m)
-        monkeypatch.setattr(metric, "DENSE_LIMIT", 16)
-        blocked = metric._MobilityOperator(rho.rho, phi, w.m, block=13)
-        assert blocked.tau is None
-        np.testing.assert_allclose(blocked.matvec(p), dense.matvec(p), atol=1e-13)
-        np.testing.assert_allclose(blocked.wdeg, dense.wdeg, atol=1e-14)
+        op = metric.MobilityOperator(phi, w.m)
+        np.testing.assert_allclose(op.apply(rho.rho, p),
+                                   dense_oracle.matvec(rho.rho, phi, w.m, p), atol=1e-13)
+        np.testing.assert_allclose(op.wdeg(rho.rho), dense_oracle.wdeg(rho.rho, phi, w.m),
+                                   atol=1e-14)
 
 
 class TestMetricInner:
@@ -389,8 +388,9 @@ class TestPathGradient:
         b = random_interior(seed + 71, w)
         t = np.linspace(0, 1, knots + 1)[:, None]
         x = (1 - t) * a.rho[None, :] + t * b.rho[None, :]
-        act, P, mids, _ = _segment_solve(x, phi, m)
-        grad = _path_gradient(x, phi, m, P, mids)
+        op = MobilityOperator(phi, m)
+        act, P, mids = _segment_solve(x, op)
+        grad = _path_gradient(x, op, P, mids)
         for knot in range(1, knots):
             e = rng.normal(size=n)
             e -= np.dot(m, e)  # stay on the mass slice
@@ -399,6 +399,6 @@ class TestPathGradient:
             xp, xm = x.copy(), x.copy()
             xp[knot] += h * e
             xm[knot] -= h * e
-            fd = (_segment_solve(xp, phi, m)[0] - _segment_solve(xm, phi, m)[0]) / (2 * h)
+            fd = (_segment_solve(xp, op)[0] - _segment_solve(xm, op)[0]) / (2 * h)
             an = float(np.dot(grad[knot - 1], e))
             assert an == pytest.approx(fd, rel=2e-5, abs=1e-8)
