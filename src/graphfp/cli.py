@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,7 +39,6 @@ def _add_common(sub):
     sub.add_argument("--config", default=None, help="experiment config file (YAML)")
     sub.add_argument("--out", default=None, help="output directory (overrides config)")
     sub.add_argument("--seed", type=int, default=None, help="seed override")
-    sub.add_argument("--workers", type=int, default=None, help="parallel workers (sweep)")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override one config key, e.g. graph.N=50")
 
@@ -70,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10)
     p.set_defaults(func=cmd_talagrand)
 
-    p = subs.add_parser("w1", help="dual W1 against the geodesic bound for a density pair")
+    p = subs.add_parser("w1", help="closed-form W1 against sqrt(2) times the geodesic "
+                                   "distance for a density pair")
     _add_common(p)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
@@ -114,8 +113,6 @@ def _load_config(args) -> ExperimentConfig:
         overrides.append(f"outputs={args.out}")
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    if args.workers is not None:
-        overrides.append(f"workers={args.workers}")
     return ExperimentConfig.load(args.config, overrides)
 
 
@@ -264,8 +261,8 @@ def cmd_sweep(args, cfg) -> int:
     if not combos:
         raise ConfigError("sweep grid is empty")
 
-    def run_point(idx_combo):
-        idx, combo = idx_combo
+    rows = []
+    for idx, combo in enumerate(combos):
         tree = copy.deepcopy(cfg.resolved())
         tree["sweep"] = {}
         for key, val in zip(keys, combo):
@@ -284,11 +281,7 @@ def cmd_sweep(args, cfg) -> int:
         except Exception as exc:  # recorded per row, run continues
             row.update({"fitted_rate": None, "theory_rate": None,
                         "monitor_pass": False, "status": f"error: {exc}"})
-        return row
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        rows = list(pool.map(run_point, enumerate(combos)))
-    rows.sort(key=lambda r: r["index"])
+        rows.append(row)
 
     out = _outdir(cfg)
     columns = ["index", *keys, "fitted_rate", "theory_rate", "monitor_pass", "status"]

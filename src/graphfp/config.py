@@ -32,7 +32,6 @@ _DEFAULTS = {
                  "init": "linear", "positivity_floor": 1e-13},
     "outputs": "out",
     "seed": 0,
-    "workers": 1,
     "write_states": False,
     "sweep": {},
 }
@@ -147,7 +146,6 @@ class ExperimentConfig:
             if t[section]["seed"] is not None:
                 int(t[section]["seed"])
         int(t["seed"])
-        int(t["workers"])
         float(t["dynamics"]["sign"])
         self.integrator()
         self.geodesic()
@@ -165,10 +163,6 @@ class ExperimentConfig:
     @property
     def outputs(self) -> str:
         return str(self.raw["outputs"])
-
-    @property
-    def workers(self) -> int:
-        return max(1, int(self.raw["workers"]))
 
     @property
     def dynamics_kind(self) -> str:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import NearTieWarning, TruncationError
 
@@ -156,6 +155,8 @@ def build_weights(family: WeightFamily, N: int) -> WeightSequence:
         raw = (1.0 - q) * np.exp(np.arange(N) * math.log(q))
         raw_tail = q**N
     elif family.kind == "power_law":
+        from scipy.special import zeta  # deferred: keeps scipy off the import path
+
         s = family.s
         idx = np.arange(1, N + 1, dtype=float)
         z = float(zeta(s))

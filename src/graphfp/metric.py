@@ -5,7 +5,7 @@ the upwind density on potential-ordered pairs and the logarithmic mean on
 potential ties. They define the mobility Laplacian L(rho), applied in
 potential-sorted order by prefix sums (:class:`MobilityOperator`); its
 inverse gives the metric tensor, and geodesic distances are estimated
-from above by minimizing a discretized path action.
+by minimizing a discretized path action.
 """
 
 from __future__ import annotations

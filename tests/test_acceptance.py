@@ -18,6 +18,7 @@ import graphfp as g
 from graphfp.cli import main as cli_main
 from graphfp.dynamics import monitor
 from graphfp.serialize import save_density
+from fd_oracle import fd_dissipation
 from helpers import explicit_weights, half_weights, random_interior
 from test_inequalities import w1_vertex_oracle
 from test_metric import two_vertex_oracle
@@ -109,7 +110,7 @@ def decay_runs():
                                     spec.weights)
         constants = g.invariant_constants(rho0, spec)
         traj = g.integrate("fpe", rho0, spec, cfg)
-        report = monitor(traj, constants, fd_samples=20)
+        report = monitor(traj, constants)
         runs.append((spec, traj, constants, report))
     return runs, time.perf_counter() - t0
 
@@ -153,20 +154,27 @@ def test_03_free_energy_dissipation(decay_runs, side_runs):
     runs, _ = decay_runs
     worst_inc = -math.inf
     worst_fd = 0.0
+    min_fd_samples = math.inf
+    worst_chain = 0.0
     min_samples = math.inf
     for _, traj, _, report in runs:
         worst_inc = max(worst_inc, float(np.diff(traj.F_values).max()))
         check = report.checks["dissipation_identity"]
-        assert not check.skipped
+        assert not check.skipped and check.passed
         min_samples = min(min_samples, int(check.detail.split()[0]))
-        worst_fd = max(worst_fd, 1e-4 - check.margin)
+        worst_chain = max(worst_chain, 1e-4 - check.margin)
+        dev, completed = fd_dissipation(traj, samples=20)
+        worst_fd = max(worst_fd, dev)
+        min_fd_samples = min(min_fd_samples, completed)
     for traj in side_runs:
         if len(traj) > 1:
             worst_inc = max(worst_inc, float(np.diff(traj.F_values).max()))
-    ok = worst_inc <= 1e-10 and worst_fd <= 1e-4 and min_samples >= 20
+    ok = (worst_inc <= 1e-10 and worst_fd <= 1e-4 and min_fd_samples >= 20
+          and worst_chain <= 1e-4 and min_samples >= 20)
     _report(3, "free-energy dissipation", ok,
-            f"(max dF {worst_inc:.2e}, worst FD dev {worst_fd:.2e}, "
-            f">= {int(min_samples)} samples/traj)")
+            f"(max dF {worst_inc:.2e}, worst FD dev {worst_fd:.2e} on "
+            f">= {int(min_fd_samples)} samples/traj, worst chain-rule dev "
+            f"{worst_chain:.2e} on >= {int(min_samples)} samples/traj)")
 
 
 def test_04_exponential_decay(decay_runs):
@@ -222,7 +230,7 @@ def test_07_master_equation(side_runs):
         if traj_m.kind != "master":
             continue
         count += 1
-        check = monitor(traj_m, None, fd_check=False).checks["linf_master_decay"]
+        check = monitor(traj_m, None).checks["linf_master_decay"]
         assert not check.skipped
         sup_margin = min(sup_margin, check.margin)
     ok = worst <= 1e-6 and sup_margin >= 0.0 and count >= 10

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,18 @@ integrator: {{t_end: {t_end}, record_every: {rec}}}
 outputs: "{out}"
 seed: {seed}
 """
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(g.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, graphfp.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestDensityFileFormat:
@@ -150,6 +164,7 @@ class TestSimulateCommand:
             out=tmp_path / "out", seed=5))
         assert run(["simulate", "--config", cfg, "--set", "integrator.tend=0.1"]) == 2
         assert run(["simulate", "--config", cfg, "--set", "colour=red"]) == 2
+        assert run(["simulate", "--config", cfg, "--set", "workers=2"]) == 2
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_reference_is_config_error(self, tmp_path):
@@ -227,15 +242,23 @@ class TestW1Command:
         assert body["bound_checked"] is True and body["passed"] is True
         assert body["w1"] <= math.sqrt(2.0) * body["distance_bound"] + 1e-6
 
-    def test_budget_exceeded_is_config_error(self, tmp_path):
-        w = explicit_weights(501, seed=1)
-        spec = g.GraphSpec(weights=w, phi=np.zeros(501), beta=1.0)
+    def test_large_boundary_pair_reports_closed_form(self, tmp_path):
+        n = 501
+        w = explicit_weights(n, seed=1)
+        spec = g.GraphSpec(weights=w, phi=np.zeros(n), beta=1.0)
         mu = random_interior(1, w)
-        nu = random_interior(2, w)
+        raw = random_interior(2, w).rho.copy()
+        raw[n // 2] = 0.0  # one zero entry: W1 alone, no geodesic
+        nu = g.Density.normalized(raw, w)
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         save_density(pa, mu, spec)
         save_density(pb, nu, spec)
-        assert run(["w1", "--a", pa, "--b", pb, "--out", tmp_path / "out"]) == 2
+        assert run(["w1", "--a", pa, "--b", pb, "--out", tmp_path / "out"]) == 0
+        body = json.loads((tmp_path / "out" / "w1.json").read_text())
+        assert body["bound_checked"] is False
+        a, _ = load_density(pa)
+        b, _ = load_density(pb)
+        assert body["w1"] == 0.5 * float(np.dot(a.weights.m, np.abs(a.rho - b.rho)))
 
 
 class TestTalagrandCommand:
@@ -272,7 +295,7 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, BASE.format(
             n=10, pot="random", beta=1.0, eps=0.5, t_end=1.5, rec=0.05,
             out=tmp_path / "out", seed=6) + "\nsweep: {beta: [0.5, 1.0, 2.0]}\n")
-        assert run(["sweep", "--config", cfg, "--workers", 2]) == 0
+        assert run(["sweep", "--config", cfg]) == 0
         rows = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"]
         assert [r["beta"] for r in rows] == [0.5, 1.0, 2.0]
         assert all(r["status"] == "ok" for r in rows)

@@ -1,4 +1,4 @@
-"""Transport-entropy inequality and the dual W1 comparison."""
+"""Transport-entropy inequality and the closed-form W1 comparison."""
 
 import itertools
 import math
@@ -93,13 +93,14 @@ class TestW1Distance:
         nup = g.Density(nu.rho[perm], wp)
         assert g.w1_distance(mup, nup) == pytest.approx(base, abs=1e-10)
 
-    def test_budget(self):
-        n = 501
+    def test_large_n_closed_form(self):
+        n = 2000
         w = explicit_weights(n, seed=0)
         mu = random_interior(0, w)
         nu = random_interior(1, w)
-        with pytest.raises(ValueError, match="budget"):
-            g.w1_distance(mu, nu)
+        expect = 0.5 * math.fsum(w.m * np.abs(mu.rho - nu.rho))
+        assert g.w1_distance(mu, nu) == pytest.approx(expect, rel=1e-12)
+        assert g.w1_distance(mu, nu) == g.w1_distance(nu, mu)
 
 
 class TestTalagrandConstants:
