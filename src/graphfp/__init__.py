@@ -12,9 +12,8 @@ from .graph import (GraphSpec, WeightFamily, WeightSequence, build_weights,
 from .inequalities import (TalagrandClass, TalagrandConstants, sample_in_class,
                            talagrand_constants, verify_talagrand, verify_w1_bound,
                            w1_distance)
-from .metric import (GeodesicConfig, GeodesicResult, MobilityWeights, apply_mobility,
-                     geodesic_distance, invert_mobility, kernel_dimension_check,
-                     log_mean, metric_inner, metric_inner_pairform, mobility_weights,
+from .metric import (GeodesicConfig, GeodesicResult, apply_mobility, geodesic_distance,
+                     invert_mobility, kernel_dimension_check, log_mean, metric_inner,
                      norm_equivalence_check)
 from .simplex import (ConstantsReport, Density, TangentVector, free_energy, gibbs,
                       invariant_constants, l2m_norm_sq, project_tangent,

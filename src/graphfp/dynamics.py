@@ -418,12 +418,14 @@ def _check_dissipation(traj):
     and the constant drops out because sigma is mean-free. The flow is
     sigma = -L(rho) u with u = phi + beta log rho, so the identity holds
     exactly when the right-hand side is that product and the metric inverts
-    the same operator. It is checked at every recorded time whose
-    dissipation is above the noise floor.
+    the same operator, which is built once for the trajectory. It is
+    checked at every recorded time whose dissipation is above the noise
+    floor.
     """
     spec = traj.spec
     f = _rhs_closure(traj.kind, spec, traj.sign)
     phi = spec.phi
+    op = MobilityOperator(phi, spec.m)
     worst = 0.0
     samples = 0
     for k, state in enumerate(traj.states):
@@ -431,7 +433,7 @@ def _check_dissipation(traj):
             continue
         sig = f(state.rho)
         tv = TangentVector(sig, spec.weights, mean_tol=1e-9)
-        g = metric_inner(state, phi, tv, tv)
+        g = metric_inner(state, op, tv, tv)
         if g < 1e-8 * (1.0 + abs(traj.F_values[k])):
             continue
         slope = float(np.dot(spec.m, (phi + spec.beta * np.log(state.rho)) * sig))

@@ -4,8 +4,10 @@ The tangent identification works through pairwise mobility coefficients:
 the upwind density on potential-ordered pairs and the logarithmic mean on
 potential ties. They define the mobility Laplacian L(rho), applied in
 potential-sorted order by prefix sums (:class:`MobilityOperator`); its
-inverse gives the metric tensor, and geodesic distances are estimated
-by minimizing a discretized path action.
+inverse gives the metric tensor. Geodesic distances are estimated by
+minimizing a midpoint-rule path action with accelerated descent whose
+direction is preconditioned by the inverse discrete time Laplacian of the
+path, applied in closed form.
 """
 
 from __future__ import annotations
@@ -285,27 +287,6 @@ class MobilityOperator:
         return self._unsort(ps * (ps * self._low_m - 2.0 * s1) + s2)
 
 
-@dataclass(frozen=True)
-class MobilityWeights:
-    """Symmetric pairwise mobility matrix generated by a density and potential."""
-
-    values: np.ndarray
-    rho: Density
-    phi: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
-def mobility_weights(rho: Density, phi) -> MobilityWeights:
-    """Full mobility matrix: upwind density off potential ties, logarithmic
-    mean on ties (including the diagonal, where it equals rho_i)."""
-    rho.require_interior("mobility weights")
-    phi = np.asarray(phi, dtype=float)
-    tau = MobilityOperator(phi, rho.weights.m).tau(rho.rho)
-    return MobilityWeights(values=tau, rho=rho, phi=phi)
-
-
 def apply_mobility(rho: Density, phi, p) -> TangentVector:
     """Map a pressure-like vector p to the tangent sigma_i =
     sum_j m_j tau_ij (p_i - p_j); constants map to zero."""
@@ -321,13 +302,18 @@ def l2m_dot(m, x, y) -> float:
 
 def invert_mobility(rho: Density, phi, sigma: TangentVector, rtol: float = INVERT_RTOL) -> np.ndarray:
     """Unique mean-free p with apply_mobility(rho, phi, p) = sigma; the
-    relative residual in the m-weighted norm is checked against ``rtol``."""
+    relative residual in the m-weighted norm is checked against ``rtol``.
+
+    ``phi`` is the potential, or a :class:`MobilityOperator` already built
+    from it and the weights of ``rho``, so that callers inverting at many
+    densities with one potential sort it once.
+    """
     rho.require_interior("mobility inversion")
     m = rho.weights.m
     s = sigma.sigma
     if float(np.abs(s).max()) == 0.0:
         return np.zeros_like(s)
-    op = MobilityOperator(phi, m)
+    op = phi if isinstance(phi, MobilityOperator) else MobilityOperator(phi, m)
     p = op.solve(rho.rho, s)
     res = op.apply(rho.rho, p) - s
     if not math.sqrt(l2m_dot(m, res, res)) <= rtol * math.sqrt(l2m_dot(m, s, s)):
@@ -337,21 +323,10 @@ def invert_mobility(rho: Density, phi, sigma: TangentVector, rtol: float = INVER
 
 
 def metric_inner(rho: Density, phi, sigma1: TangentVector, sigma2: TangentVector) -> float:
-    """Metric inner product g(sigma1, sigma2) = sum_i m_i p1_i sigma2_i."""
+    """Metric inner product g(sigma1, sigma2) = sum_i m_i p1_i sigma2_i;
+    ``phi`` as in :func:`invert_mobility`."""
     p1 = invert_mobility(rho, phi, sigma1)
     return l2m_dot(rho.weights.m, p1, sigma2.sigma)
-
-
-def metric_inner_pairform(rho: Density, phi, sigma1: TangentVector, sigma2: TangentVector) -> float:
-    """Same inner product through the symmetric double sum
-    (1/2) sum_ij m_i m_j tau_ij (p1_i - p1_j)(p2_i - p2_j)."""
-    m = rho.weights.m
-    p1 = invert_mobility(rho, phi, sigma1)
-    p2 = invert_mobility(rho, phi, sigma2)
-    tau = mobility_weights(rho, np.asarray(phi, dtype=float)).values
-    a = (m[:, None] * m[None, :]) * tau
-    row = a.sum(axis=1)
-    return float(np.dot(row, p1 * p2) - p1 @ a @ p2)
 
 
 @dataclass(frozen=True)
@@ -437,16 +412,23 @@ class GeodesicConfig:
 
 @dataclass
 class GeodesicResult:
-    """Upper-bound estimate of the geodesic distance plus the minimizing path."""
+    """Midpoint-rule estimate of the geodesic distance, the path that
+    attains it, and why the descent stopped: ``stop_reason`` is
+    ``"converged"`` (gradient norm at or below ``grad_tol``), ``"stall"``
+    (no measurable decrease of the action) or ``"max_iters"``."""
 
     distance: float
     path: list
     action: float
     iterations: int
     grad_norm: float
+    stop_reason: str
     action_history: list = field(default_factory=list)
-    converged: bool = False
     warnings: tuple = ()
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def as_dict(self) -> dict:
         return {
@@ -455,6 +437,7 @@ class GeodesicResult:
             "iterations": self.iterations,
             "grad_norm": self.grad_norm,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "warnings": list(self.warnings),
         }
 
@@ -494,6 +477,25 @@ def _path_gradient(path, op: MobilityOperator, P, mids):
     return K * (2.0 * m[None, :] * (P[:-1] - P[1:]) + 0.5 * (G[:-1] + G[1:]))
 
 
+def _time_laplacian_solve(g):
+    """u = T^-1 g, column by column, for the time Laplacian
+    T = K tridiag(-1, 2, -1) on the K - 1 interior knots (the rows of g)
+    with both endpoints held fixed.
+
+    (T^-1)_ij = min(i, j) (K - max(i, j)) / K^2 for knots i, j in 1..K-1, so
+
+        u_j = ((K - j) sum_{i <= j} i g_i + j sum_{i > j} (K - i) g_i) / K^2,
+
+    two running sums along the knot axis: O(K n), no (K-1)^2 matrix.
+    """
+    K = g.shape[0] + 1
+    j = np.arange(1, K, dtype=float)[:, None]
+    low = np.cumsum(j * g, axis=0)                                  # i <= j
+    high = np.zeros_like(g)
+    high[:-1] = np.cumsum(((K - j) * g)[:0:-1], axis=0)[::-1]       # i > j
+    return ((K - j) * low + j * high) / (K * K)
+
+
 def _resample_path(arr: np.ndarray, knots: int) -> np.ndarray:
     old_k = arr.shape[0] - 1
     if old_k == knots:
@@ -509,14 +511,23 @@ def _resample_path(arr: np.ndarray, knots: int) -> np.ndarray:
 def geodesic_distance(rho_a: Density, rho_b: Density, phi,
                       config: GeodesicConfig = GeodesicConfig(),
                       initial_path=None) -> GeodesicResult:
-    """Upper bound on the geodesic distance between two interior densities.
+    """Midpoint-rule estimate of the geodesic distance between two interior
+    densities.
 
     A path of ``knots`` segments with fixed endpoints is relaxed by
-    projected gradient descent with backtracking: knots are pulled back to
-    the unit-mass slice after every trial step, and steps that cross the
-    positivity floor are rejected outright. The returned distance is the
-    square root of the minimized action, which equals the arc length at the
-    constant-speed minimizer.
+    accelerated projected descent with backtracking: knots are pulled back
+    to the unit-mass slice after every trial step, and steps that cross the
+    positivity floor are rejected outright. The discrete action couples
+    the knots through a K (2, -1, -1) second difference in time, so the
+    descent direction is the m-weighted gradient preconditioned by the
+    inverse time Laplacian, d = T^-1 (grad / m - m-mean) with
+    T = K tridiag(-1, 2, -1), applied vertex by vertex in closed form
+    (:func:`_time_laplacian_solve`). The Armijo test uses the directional
+    derivative sum grad d; the convergence test keeps the largest
+    m-weighted norm of the unpreconditioned gradient against ``grad_tol``
+    (1 + action). The returned distance is the square root of the minimized
+    midpoint-rule action, which equals the arc length at the constant-speed
+    minimizer; it is not proven to bound the true distance from either side.
     """
     rho_a.require_interior("geodesic endpoint")
     rho_b.require_interior("geodesic endpoint")
@@ -530,7 +541,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     if np.array_equal(rho_a.rho, rho_b.rho):
         path = [rho_a] * (K + 1)
         return GeodesicResult(distance=0.0, path=path, action=0.0, iterations=0,
-                              grad_norm=0.0, action_history=[0.0], converged=True)
+                              grad_norm=0.0, stop_reason="converged", action_history=[0.0])
 
     if config.init == "previous" and initial_path is not None:
         arr = np.asarray([p.rho if isinstance(p, Density) else p for p in initial_path], dtype=float)
@@ -547,7 +558,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
         out[1:-1] += (1.0 - out[1:-1] @ m)[:, None]
         return out
 
-    def direction(grad):
+    def m_gradient(grad):
         d = grad / m[None, :]
         return d - (d @ m)[:, None]
 
@@ -557,9 +568,8 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     op = MobilityOperator(phi, m)
     act, P, mids = _segment_solve(x, op)
     history = [act]
-    warn: list[str] = []
-    converged = False
-    gnorm = grad_sup(direction(_path_gradient(x, op, P, mids)))
+    stop = "max_iters"
+    gnorm = grad_sup(m_gradient(_path_gradient(x, op, P, mids)))
     it = 0
     eta = 1.0
     y = x.copy()
@@ -572,14 +582,16 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     # steps are taken from the restart point.
     for it in range(1, config.max_iters + 1):
         a_y, p_y, mids_y = _segment_solve(y, op)
-        d = direction(_path_gradient(y, op, p_y, mids_y))
-        desc = float(((d * d) @ m).sum())
+        grad = _path_gradient(y, op, p_y, mids_y)
+        g_m = m_gradient(grad)
         at_anchor = momentum == 1.0 and np.array_equal(y, x)
         if at_anchor:
-            gnorm = grad_sup(d)
+            gnorm = grad_sup(g_m)
             if gnorm <= config.grad_tol * (1.0 + abs(act)):
-                converged = True
+                stop = "converged"
                 break
+        d = _time_laplacian_solve(g_m)
+        desc = float((grad * d).sum())
         accepted = False
         cand = None
         c_act = a_y
@@ -598,7 +610,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
         if not accepted or c_act > act:
             if at_anchor:
                 if not accepted:
-                    warn.append("stall")
+                    stop = "stall"
                     break
                 # accepted but no global progress is impossible at the anchor
             y = x.copy()
@@ -620,21 +632,21 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
         x, act = cand, c_act
         history.append(act)
         if len(recent) == stall_window and max(recent) < 1e-12:
-            warn.append("stall")
+            stop = "stall"
             break
         eta *= 1.2
         if it % 8 == 0:
             _, p_x, mids_x = _segment_solve(x, op)
-            gnorm = grad_sup(direction(_path_gradient(x, op, p_x, mids_x)))
+            gnorm = grad_sup(m_gradient(_path_gradient(x, op, p_x, mids_x)))
             if gnorm <= config.grad_tol * (1.0 + abs(act)):
-                converged = True
+                stop = "converged"
                 break
-    if not converged:
+    if stop != "converged":
         _, final_p, final_mids = _segment_solve(x, op)
-        gnorm = grad_sup(direction(_path_gradient(x, op, final_p, final_mids)))
+        gnorm = grad_sup(m_gradient(_path_gradient(x, op, final_p, final_mids)))
         if gnorm <= config.grad_tol * (1.0 + abs(act)):
-            converged = True
-            warn = [w for w in warn if w != "stall"]
+            stop = "converged"
+    warn = [] if stop == "converged" else [stop]
     if x[1:-1].size and x[1:-1].min() <= 10.0 * config.positivity_floor:
         warn.append("boundary")
     path = [rho_a] + [Density(row, weights, mass_tol=1e-9) for row in x[1:-1]] + [rho_b]
@@ -644,7 +656,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
         action=act,
         iterations=it,
         grad_norm=gnorm,
+        stop_reason=stop,
         action_history=history,
-        converged=converged,
-        warnings=tuple(dict.fromkeys(warn)),
+        warnings=tuple(warn),
     )

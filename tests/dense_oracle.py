@@ -8,7 +8,7 @@ compare the library against these formulas.
 
 import numpy as np
 
-from graphfp.metric import _log_mean_partial, log_mean
+from graphfp.metric import _log_mean_partial, invert_mobility, log_mean
 
 
 def tau(rho, phi):
@@ -19,6 +19,25 @@ def tau(rho, phi):
     lt = phi[:, None] < phi[None, :]
     ri, rj = rho[..., :, None], rho[..., None, :]
     return np.where(gt, ri, np.where(lt, rj, log_mean(ri, rj)))
+
+
+def mobility_weights(rho, phi):
+    """Read-only mobility matrix of an interior Density (on the diagonal the
+    logarithmic mean equals rho_i)."""
+    rho.require_interior("mobility weights")
+    values = tau(rho.rho, np.asarray(phi, dtype=float))
+    values.setflags(write=False)
+    return values
+
+
+def metric_inner_pairform(rho, phi, sigma1, sigma2):
+    """Metric inner product through the symmetric double sum
+    (1/2) sum_ij m_i m_j tau_ij (p1_i - p1_j)(p2_i - p2_j)."""
+    m = rho.weights.m
+    p1 = invert_mobility(rho, phi, sigma1)
+    p2 = invert_mobility(rho, phi, sigma2)
+    a = (m[:, None] * m[None, :]) * mobility_weights(rho, phi)
+    return float(np.dot(a.sum(axis=1), p1 * p2) - p1 @ a @ p2)
 
 
 def wdeg(rho, phi, m):

@@ -205,6 +205,17 @@ class TestMetricCommand:
         d2 = json.loads((tmp_path / "o2" / "metric.json").read_text())["distance"]
         assert d1 == pytest.approx(d2, rel=1e-6)
 
+    def test_diagnostics_report_stop_reason(self, tmp_path):
+        pa, pb = self._endpoints(tmp_path, same=False)
+        assert run(["metric", "--a", pa, "--b", pb, "--out", tmp_path / "o1"]) == 0
+        diag = json.loads((tmp_path / "o1" / "metric.json").read_text())["diagnostics"]
+        assert diag["stop_reason"] == "converged" and diag["converged"] is True
+        assert run(["metric", "--a", pa, "--b", pb, "--out", tmp_path / "o2",
+                    "--set", "geodesic.max_iters=3"]) == 0
+        diag = json.loads((tmp_path / "o2" / "metric.json").read_text())["diagnostics"]
+        assert diag["stop_reason"] == "max_iters" and diag["converged"] is False
+        assert diag["iterations"] == 3 and "max_iters" in diag["warnings"]
+
     def test_mismatched_weights_rejected(self, tmp_path):
         pa, _ = self._endpoints(tmp_path, same=False)
         w2 = explicit_weights(8, seed=99)

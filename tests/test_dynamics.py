@@ -281,6 +281,24 @@ class TestMonitor:
         assert above > 0
         assert check.detail == f"{above} sampled times"
 
+    def test_dissipation_sorts_the_potential_once(self, monkeypatch):
+        spec = random_instance(6, 12, beta=1.0)
+        rho0 = perturbed_gibbs(spec, 0.5, 7)
+        traj = g.integrate("fpe", rho0, spec,
+                           g.IntegratorConfig(t_end=1.0, record_every=0.05))
+        built = []
+        init = g.metric.MobilityOperator.__init__
+
+        def counting_init(self, key, m):
+            built.append(key)
+            init(self, key, m)
+
+        monkeypatch.setattr(g.metric.MobilityOperator, "__init__", counting_init)
+        check = dynamics._check_dissipation(traj)
+        assert check.passed
+        assert int(check.detail.split()[0]) > 2
+        assert len(built) == 2   # one for the right-hand side, one for the metric
+
     def test_dissipation_check_can_fail(self, monkeypatch):
         spec = random_instance(6, 12, beta=1.0)
         rho0 = perturbed_gibbs(spec, 0.5, 7)

@@ -11,7 +11,9 @@ from scipy.integrate import quad
 
 import graphfp as g
 from graphfp import metric
-from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve
+from scipy.optimize import minimize
+
+from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve, _time_laplacian_solve
 import dense_oracle
 from helpers import explicit_weights, half_weights, random_interior, random_tangent
 
@@ -51,20 +53,20 @@ class TestMobilityWeights:
     def test_tie_branch_equal_density(self):
         w = half_weights()
         rho = g.Density(np.array([1.0, 1.0]), w)
-        tau = g.mobility_weights(rho, np.zeros(2)).values
+        tau = dense_oracle.mobility_weights(rho, np.zeros(2))
         np.testing.assert_allclose(tau, 1.0)
 
     def test_tie_branch_log_mean(self):
         w = half_weights()
         rho = g.Density.normalized(np.array([1.0, 2.0]), w)
         scale = float(np.dot(w.m, [1.0, 2.0]))
-        tau = g.mobility_weights(rho, np.zeros(2)).values
+        tau = dense_oracle.mobility_weights(rho, np.zeros(2))
         assert tau[0, 1] * scale == pytest.approx(1.0 / math.log(2.0), rel=1e-14)
 
     def test_ordered_branch_takes_high_potential_density(self):
         w = half_weights()
         rho = g.Density.normalized(np.array([1.0, 2.0]), w)
-        tau = g.mobility_weights(rho, np.array([0.0, 1.0])).values
+        tau = dense_oracle.mobility_weights(rho, np.array([0.0, 1.0]))
         assert tau[0, 1] == rho.rho[1]  # phi_1 < phi_2 -> density at vertex 2
         assert tau[1, 0] == rho.rho[1]
 
@@ -73,7 +75,7 @@ class TestMobilityWeights:
         w = explicit_weights(12, seed=seed)
         rho = random_interior(seed, w)
         phi = np.random.default_rng(seed).integers(0, 3, 12).astype(float)
-        tau = g.mobility_weights(rho, phi).values
+        tau = dense_oracle.mobility_weights(rho, phi)
         np.testing.assert_array_equal(tau, tau.T)
         lo = np.minimum(rho.rho[:, None], rho.rho[None, :])
         hi = np.maximum(rho.rho[:, None], rho.rho[None, :])
@@ -84,7 +86,7 @@ class TestMobilityWeights:
         w = half_weights()
         rho = g.Density(np.array([2.0, 0.0]), w)
         with pytest.raises(ValueError):
-            g.mobility_weights(rho, np.zeros(2))
+            dense_oracle.mobility_weights(rho, np.zeros(2))
 
 
 class TestApplyMobility:
@@ -147,6 +149,16 @@ class TestInvertMobility:
         back = g.invert_mobility(rho, phi, sig)
         assert np.abs(back - p).max() <= 1e-9 * (1 + np.abs(p).max())
 
+    def test_prebuilt_operator_gives_same_pressure(self):
+        w = explicit_weights(30, seed=9)
+        rho = random_interior(9, w)
+        phi = np.random.default_rng(9).integers(0, 4, 30).astype(float)
+        sig = random_tangent(12, w)
+        op = MobilityOperator(phi, w.m)
+        np.testing.assert_array_equal(g.invert_mobility(rho, op, sig),
+                                      g.invert_mobility(rho, phi, sig))
+        assert g.metric_inner(rho, op, sig, sig) == g.metric_inner(rho, phi, sig, sig)
+
     def test_residual_quality(self):
         w = explicit_weights(40, seed=8)
         rho = random_interior(8, w)
@@ -206,7 +218,7 @@ class TestMetricInner:
         s1 = random_tangent(seed + 4, w)
         s2 = random_tangent(seed + 5, w)
         a = g.metric_inner(rho, phi, s1, s2)
-        b = g.metric_inner_pairform(rho, phi, s1, s2)
+        b = dense_oracle.metric_inner_pairform(rho, phi, s1, s2)
         assert b == pytest.approx(a, rel=1e-10)
 
     def test_dissipation_route(self):
@@ -303,6 +315,7 @@ class TestGeodesic:
         rho = random_interior(4, w)
         res = g.geodesic_distance(rho, rho, np.zeros(5))
         assert res.distance == 0.0
+        assert res.as_dict()["stop_reason"] == "converged"
         assert all(np.array_equal(s.rho, rho.rho) for s in res.path)
 
     @pytest.mark.parametrize("phi,a,b", [
@@ -402,3 +415,92 @@ class TestPathGradient:
             fd = (_segment_solve(xp, op)[0] - _segment_solve(xm, op)[0]) / (2 * h)
             an = float(np.dot(grad[knot - 1], e))
             assert an == pytest.approx(fd, rel=2e-5, abs=1e-8)
+
+
+class TestTimeLaplacianSolve:
+    @pytest.mark.parametrize("knots", [2, 3, 8, 32])
+    def test_matches_dense_solve(self, knots):
+        # T = K tridiag(-1, 2, -1) on the K - 1 interior knots; K = 2 has one
+        inner = knots - 1
+        T = knots * (2.0 * np.eye(inner) - np.eye(inner, k=1) - np.eye(inner, k=-1))
+        rhs = np.random.default_rng(knots).normal(size=(inner, 7))
+        dense = np.linalg.solve(T, rhs)
+        np.testing.assert_allclose(_time_laplacian_solve(rhs), dense,
+                                   rtol=0, atol=1e-13 * np.abs(dense).max())
+
+
+def softmax_oracle_action(rho_a, rho_b, phi, knots):
+    """Discrete action minimized by scipy L-BFGS-B from the linear path.
+
+    Each interior knot is softmax(z / sqrt(m)) on the weighted simplex, so
+    every trial point is positive with unit mass and no projection or
+    step rule is shared with :func:`graphfp.geodesic_distance`; only the
+    action and its gradient (``_segment_solve``, ``_path_gradient``) are.
+    """
+    m = rho_a.weights.m
+    scale = np.sqrt(m)
+    op = MobilityOperator(phi, m)
+    t = np.linspace(0.0, 1.0, knots + 1)[:, None]
+    path = (1.0 - t) * rho_a.rho + t * rho_b.rho
+
+    def action(z):
+        e = np.exp(z.reshape(knots - 1, m.size) / scale)
+        x = path.copy()
+        x[1:-1] = e / (e @ m)[:, None]
+        act, P, mids = _segment_solve(x, op)
+        gx = _path_gradient(x, op, P, mids) * x[1:-1]
+        gz = gx - (m * x[1:-1]) * gx.sum(axis=1)[:, None]
+        return act, (gz / scale).ravel()
+
+    res = minimize(action, (np.log(path[1:-1]) * scale).ravel(), jac=True,
+                   method="L-BFGS-B",
+                   options={"maxiter": 20000, "maxcor": 20, "ftol": 1e-15, "gtol": 1e-12})
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def _pair(n, ties=False, geometric=False):
+    w = g.build_weights(g.WeightFamily.geometric(0.5), n) if geometric \
+        else explicit_weights(n, seed=n)
+    rng = np.random.default_rng(n)
+    phi = rng.integers(0, 3, n).astype(float) if ties else rng.uniform(-1, 1, n)
+    return random_interior(100 + n, w), random_interior(200 + n, w), phi
+
+
+class TestPreconditionedDescent:
+    @pytest.mark.parametrize("n,ties,geometric",
+                             [(n, ties, False) for n in (6, 20, 40) for ties in (False, True)]
+                             + [(20, False, True)])
+    def test_converges_to_independent_minimum(self, n, ties, geometric):
+        a, b, phi = _pair(n, ties, geometric)
+        res = g.geodesic_distance(a, b, phi)
+        assert res.stop_reason == "converged" and res.converged
+        assert res.warnings == ()
+        assert res.iterations <= 100
+        assert res.grad_norm <= 1e-8 * (1.0 + res.action)
+        oracle = softmax_oracle_action(a, b, phi, g.GeodesicConfig().knots)
+        assert res.action == pytest.approx(oracle, rel=1e-9)
+
+    def test_stall_near_the_rounding_floor(self):
+        # an n=40 pair with potential ties that stops in "stall" at about
+        # twice grad_tol: the action no longer changes in float64 there, and
+        # the path is still the minimizer to the oracle's precision
+        w = explicit_weights(40, seed=6)
+        phi = np.random.default_rng(6).integers(0, 3, 40).astype(float)
+        a, b = random_interior(16, w), random_interior(26, w)
+        res = g.geodesic_distance(a, b, phi)
+        assert res.stop_reason in ("converged", "stall")
+        assert res.warnings == (() if res.converged else ("stall",))
+        assert res.iterations <= 100
+        assert res.grad_norm <= 5e-8 * (1.0 + res.action)
+        oracle = softmax_oracle_action(a, b, phi, g.GeodesicConfig().knots)
+        assert res.action == pytest.approx(oracle, rel=1e-9)
+
+    def test_max_iters_is_reported(self):
+        a, b, phi = _pair(20)
+        res = g.geodesic_distance(a, b, phi, g.GeodesicConfig(max_iters=3))
+        assert res.stop_reason == "max_iters"
+        assert not res.converged
+        assert res.iterations == 3
+        assert "max_iters" in res.warnings
+        assert res.as_dict()["stop_reason"] == "max_iters"
