@@ -1,22 +1,46 @@
 """Fokker-Planck gradient flows, transport metrics, and functional
-inequalities on truncated weighted graphs."""
+inequalities on truncated weighted graphs.
 
-from .dynamics import (IntegratorConfig, MonitorReport, TrajectoryRecord,
-                       decay_rate_fit, effective_potential_rhs, fokker_planck_rhs,
-                       integrate, master_equation_rhs, monitor, zero_diffusion_rhs)
-from .errors import (ConvergenceError, InsufficientDataError, InvariantBreachError,
-                     NearTieWarning, StiffnessError, TruncationError)
-from .graph import (GraphSpec, WeightFamily, WeightSequence, build_weights,
-                    estimate_tail_cutoff, from_locally_finite, min_weight_prefix,
-                    parse_weight_family)
-from .inequalities import (TalagrandClass, TalagrandConstants, sample_in_class,
-                           talagrand_constants, verify_talagrand, verify_w1_bound,
-                           w1_distance)
-from .metric import (GeodesicConfig, GeodesicResult, apply_mobility, geodesic_distance,
-                     invert_mobility, kernel_dimension_check, log_mean, metric_inner,
-                     norm_equivalence_check)
-from .simplex import (ConstantsReport, Density, TangentVector, free_energy, gibbs,
-                      invariant_constants, l2m_norm_sq, project_tangent,
-                      relative_energy, relative_entropy)
+The public names below are loaded on first access (PEP 562), so
+``import graphfp`` itself imports no numpy: the command line sets its
+BLAS thread default before anything loads numpy.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "dynamics": ("IntegratorConfig", "MonitorReport", "TrajectoryRecord",
+                 "decay_rate_fit", "effective_potential_rhs", "fokker_planck_rhs",
+                 "integrate", "master_equation_rhs", "monitor", "zero_diffusion_rhs"),
+    "errors": ("ConvergenceError", "InsufficientDataError", "InvariantBreachError",
+               "NearTieWarning", "StiffnessError", "TruncationError"),
+    "graph": ("GraphSpec", "WeightFamily", "WeightSequence", "build_weights",
+              "estimate_tail_cutoff", "from_locally_finite", "min_weight_prefix",
+              "parse_weight_family"),
+    "inequalities": ("TalagrandClass", "TalagrandConstants", "sample_in_class",
+                     "talagrand_constants", "verify_talagrand", "verify_w1_bound",
+                     "w1_distance"),
+    "metric": ("GeodesicConfig", "GeodesicResult", "apply_mobility", "geodesic_distance",
+               "invert_mobility", "kernel_dimension_check", "log_mean", "metric_inner",
+               "norm_equivalence_check"),
+    "simplex": ("ConstantsReport", "Density", "TangentVector", "free_energy", "gibbs",
+                "invariant_constants", "l2m_norm_sq", "project_tangent",
+                "relative_energy", "relative_entropy"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

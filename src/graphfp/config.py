@@ -8,11 +8,12 @@ its outputs, so a run is reproducible from any artifact it wrote.
 from __future__ import annotations
 
 import copy
+import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .dynamics import KINDS, IntegratorConfig
 from .graph import GraphSpec, build_weights, parse_weight_family
@@ -54,18 +55,23 @@ def _deep_update(base: dict, extra: dict) -> dict:
 
 
 def _set_dotted(tree: dict, dotted: str, value) -> None:
+    """Set one dotted key; a mapping merges into a section, as in a file."""
     parts = dotted.split(".")
     node = tree
     for p in parts[:-1]:
         if not isinstance(node.get(p), dict):
             node[p] = {}
         node = node[p]
-    node[parts[-1]] = value
+    _deep_update(node, {parts[-1]: value})
 
 
 def _check_keys(tree: dict, defaults: dict, prefix: str = "") -> None:
-    """Every key must exist in the defaults, sections must stay mappings and
-    values must not become mappings; the entries of ``sweep`` are free-form."""
+    """Every key must exist in the defaults and every default key must be
+    present, sections must stay mappings and values must not become
+    mappings; the entries of ``sweep`` are free-form."""
+    missing = [key for key in defaults if key not in tree]
+    if missing:
+        raise ConfigError(f"config key {prefix + missing[0]!r} is missing")
     for key, val in tree.items():
         name = f"{prefix}{key}"
         if key not in defaults:
@@ -81,16 +87,38 @@ def _check_keys(tree: dict, defaults: dict, prefix: str = "") -> None:
             raise ConfigError(f"config key {name!r} takes a value, not a mapping")
 
 
+def _parse_yaml(text: str):
+    """YAML is imported only here: JSON configs never load it."""
+    import yaml
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed YAML: {exc}") from exc
+
+
+def _parse_config_text(text: str):
+    """JSON is a subset of YAML: the json module reads a JSON file without
+    importing a YAML parser, and any other text is parsed as YAML."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return _parse_yaml(text)
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     @classmethod
-    def load(cls, path: str | None = None, overrides: list[str] | None = None) -> "ExperimentConfig":
+    def load(cls, path: str | None = None, overrides: list[str] | None = None,
+             values: dict | None = None) -> "ExperimentConfig":
+        """Defaults, updated by the config file (YAML or JSON), then by the
+        ``key.path=value`` overrides (each value parsed as YAML), then by
+        ``values``: dotted keys with values already typed, used as given."""
         tree = copy.deepcopy(_DEFAULTS)
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh) or {}
+                loaded = _parse_config_text(fh.read()) or {}
             if not isinstance(loaded, dict):
                 raise ConfigError(f"{path}: top level must be a mapping")
             _deep_update(tree, loaded)
@@ -98,7 +126,9 @@ class ExperimentConfig:
             key, sep, val = item.partition("=")
             if not sep:
                 raise ConfigError(f"override {item!r} must look like key.path=value")
-            _set_dotted(tree, key.strip(), yaml.safe_load(val))
+            _set_dotted(tree, key.strip(), _parse_yaml(val))
+        for key, val in (values or {}).items():
+            _set_dotted(tree, key, val)
         cfg = cls(raw=tree)
         cfg.validate()
         return cfg
@@ -111,7 +141,7 @@ class ExperimentConfig:
             self._validate()
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
 
     def _validate(self) -> None:
@@ -139,9 +169,12 @@ class ExperimentConfig:
                 raise ConfigError(f"weight file {p!r} does not exist")
         # every value the commands convert later, converted once here
         int(t["graph"]["N"])
-        for key in ("c", "slope", "low", "high"):
+        for key in ("c", "slope"):
             float(t["potential"][key])
-        float(t["initial"]["epsilon"])
+        # rng.uniform raises OverflowError on an infinite range
+        for section, key in (("potential", "low"), ("potential", "high"), ("initial", "epsilon")):
+            if not math.isfinite(float(t[section][key])):
+                raise ConfigError(f"{section}.{key} must be finite, got {t[section][key]!r}")
         for section in ("potential", "initial"):
             if t[section]["seed"] is not None:
                 int(t[section]["seed"])

@@ -112,8 +112,10 @@ class MobilityOperator:
             offset = np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
             self._pairs = (a, a + 1 + offset)         # sorted positions of every tie pair
             size = ends - self._starts
+            # bincount, not np.unique: the same sizes in the same order,
+            # without loading numpy.ma
             self._blocks = [self._starts[size == k][:, None] + np.arange(k)
-                            for k in np.unique(size[size > 1])]
+                            for k in np.flatnonzero(np.bincount(size)[2:]) + 2]
         else:
             self._lo = slice(0, n)
             self._hi = slice(1, n + 1)

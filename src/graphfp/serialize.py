@@ -104,14 +104,13 @@ def trajectory_to_csv(path, traj, meta: dict | None = None) -> None:
 
 def snapshots_to_csv(outdir, traj, meta: dict | None = None) -> list:
     """Per-vertex snapshot files state_<k>.csv with rows ``i, rho_i``."""
+    header = _csv_header_comment(meta) + "i,rho_i\n"
     paths = []
     for k, state in enumerate(traj.states):
         p = os.path.join(outdir, f"state_{k}.csv")
+        rows = "".join(f"{i},{fmt(v)}\n" for i, v in enumerate(state.rho, start=1))
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_csv_header_comment(meta))
-            fh.write("i,rho_i\n")
-            for i, v in enumerate(state.rho):
-                fh.write(f"{i + 1},{fmt(v)}\n")
+            fh.write(header + rows)
         paths.append(p)
     return paths
 

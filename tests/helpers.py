@@ -1,5 +1,9 @@
 """Shared instance builders for the test suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 import graphfp as g
@@ -51,3 +55,20 @@ def perturbed_gibbs(spec, epsilon, seed):
     star = g.gibbs(spec)
     return g.Density.normalized(star.rho * np.exp(rng.uniform(-epsilon, epsilon, spec.N)),
                                 spec.weights)
+
+
+def run_python(code, **env):
+    """stdout, stripped, of ``code`` run in a fresh interpreter that imports
+    graphfp from this checkout. ``OPENBLAS_NUM_THREADS`` is removed from
+    its environment; keyword arguments set variables (None removes one)."""
+    src = os.path.dirname(os.path.dirname(g.__file__))
+    child = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child.pop("OPENBLAS_NUM_THREADS", None)
+    for key, value in env.items():
+        if value is None:
+            child.pop(key, None)
+        else:
+            child[key] = value
+    return subprocess.run([sys.executable, "-c", code], env=child, check=True,
+                          capture_output=True, text=True).stdout.strip()

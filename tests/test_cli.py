@@ -3,16 +3,17 @@
 import json
 import math
 import os
-import subprocess
-import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import graphfp as g
 from graphfp.cli import main
 from graphfp.serialize import load_density, save_density
-from helpers import explicit_weights, random_interior
+from helpers import explicit_weights, random_interior, run_python
 
 
 def run(args):
@@ -36,16 +37,125 @@ seed: {seed}
 """
 
 
+# The smallest gibbs instance that passes: N=6 admits no cutoff.
+SMALL = {"graph": {"family": "geometric:q=0.25", "N": 8}, "potential": {"kind": "random"}}
+SMALL_SET = ["--set", "graph.family=geometric:q=0.25", "--set", "graph.N=8",
+             "--set", "potential.kind=random"]
+
+# Keys of every section, a free-form sweep key and a few that do not exist.
+_KEYS = st.sampled_from([
+    "graph", "graph.family", "graph.N", "potential", "potential.kind", "potential.c",
+    "potential.slope", "potential.low", "potential.high", "potential.seed",
+    "potential.path", "beta", "initial", "initial.kind", "initial.epsilon",
+    "initial.seed", "initial.path", "dynamics.kind", "dynamics.sign", "integrator.t_end",
+    "geodesic.knots", "outputs", "seed", "write_states", "sweep", "sweep.beta",
+    "graph.N.x", "colour", "", "graph..N"])
+# Plain text has no digits or path separators, so it cannot name a huge N
+# or a device file; numbers are drawn small, plus the YAML specials.
+_VALUES = st.one_of(
+    st.text(alphabet="abcxyz :-_[]{},'\"*&!|>#%@.=~", max_size=12),
+    st.integers(-50, 50).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from([".inf", "-.inf", ".nan", "1e400", "-1e400", "1.0e+400", "null",
+                     "yes", "no", "[]", "{}", "[1, 2]", "{a: 1}", "0", "-1", "0.5", "1.5",
+                     "random", "linear", "file", "uniform", "gibbs_perturbed", "fpe",
+                     "geometric:q=0.5", "powerlaw:s=2.0", "geometric:q=2",
+                     "explicit:file=missing.txt", "."]))
+
+
 class TestImportPath:
+    """Each check runs in a fresh interpreter, so modules loaded by other
+    tests cannot hide what an import loads."""
+
     def test_cli_import_loads_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(g.__file__))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = ("import sys, graphfp.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert run_python(code) == "[]"
+
+    def test_package_import_loads_no_numpy(self):
+        assert run_python("import sys, graphfp; print('numpy' in sys.modules)") == "False"
+
+    def test_every_public_name_resolves(self):
+        for name in g.__all__:
+            assert getattr(g, name).__module__.startswith("graphfp.")
+        assert set(g.__all__) <= set(dir(g))
+        with pytest.raises(AttributeError):
+            g.no_such_name
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_cli_defaults_one_blas_thread(self, preset, expected):
+        code = "import os, graphfp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_python(code, OPENBLAS_NUM_THREADS=preset) == expected
+
+    def test_json_config_loads_no_yaml(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(SMALL))
+        args = ["gibbs", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = ("import sys; from graphfp.cli import main; "
+                f"print(main({args!r}), 'yaml' in sys.modules)")
+        assert run_python(code) == "0 False"
+        assert (tmp_path / "out" / "gibbs.txt").exists()
+
+
+class TestTypedFlags:
+    """``--out`` and ``--seed`` are used as given, never parsed as YAML."""
+
+    @pytest.mark.parametrize("name", ["yes", "null", "[x]", "1e3", "~"])
+    def test_out_names_the_directory_exactly(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert run(["gibbs", *SMALL_SET, "--out", name]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        report = json.loads((tmp_path / name / "constants.json").read_text())
+        assert report["config"]["outputs"] == name
+
+    def test_seed_stays_an_int(self, tmp_path):
+        assert run(["gibbs", *SMALL_SET, "--out", tmp_path, "--seed", "7"]) == 0
+        report = json.loads((tmp_path / "constants.json").read_text())
+        assert report["seed"] == 7 and report["config"]["seed"] == 7
+        assert type(report["config"]["seed"]) is int
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("override", ["graph.N=.inf", "potential.seed=.inf",
+                                          "initial.epsilon=1e400", "initial.epsilon=.nan",
+                                          "initial.seed=-.inf", "seed=.inf",
+                                          "potential.low=-.inf", "potential.high=.nan"])
+    def test_infinite_values_are_config_errors(self, tmp_path, override):
+        assert run(["gibbs", *SMALL_SET, "--set", override,
+                    "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", ["initial={}", "graph={N: 9}"])
+    def test_mapping_merges_into_its_section(self, tmp_path, override):
+        assert run(["gibbs", *SMALL_SET, "--set", override, "--out", tmp_path]) == 0
+        config = json.loads((tmp_path / "constants.json").read_text())["config"]
+        assert config["initial"]["kind"] == "gibbs_perturbed"
+        assert config["graph"]["family"] == "geometric:q=0.25"
+
+    def test_emptied_section_is_config_error(self, tmp_path):
+        assert run(["gibbs", *SMALL_SET, "--set", "initial=", "--set", "initial.epsilon=0.1",
+                    "--out", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("override", ["graph.N=[", "beta={a: 1", "seed='", "seed=*x"])
+    def test_malformed_yaml_value_is_config_error(self, tmp_path, override):
+        assert run(["gibbs", *SMALL_SET, "--set", override, "--out", tmp_path / "out"]) == 2
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(_KEYS, _VALUES), min_size=1, max_size=3))
+    def test_arbitrary_overrides_never_raise(self, tmp_path, pairs):
+        """Every ``--set`` input ends in exit 0, 2 or 3: main raises nothing."""
+        args = ["gibbs", "--config", tmp_path / "base.json"]
+        for key, value in pairs:
+            args += ["--set", f"{key}={value}"]
+        (tmp_path / "base.json").write_text(json.dumps(SMALL))
+        with tempfile.TemporaryDirectory(dir=tmp_path) as cwd:
+            old = os.getcwd()
+            os.chdir(cwd)
+            try:
+                assert run(args) in (0, 2, 3)
+            finally:
+                os.chdir(old)
 
 
 class TestDensityFileFormat:

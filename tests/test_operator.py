@@ -8,7 +8,7 @@ import graphfp as g
 import dense_oracle
 from graphfp.dynamics import _rhs_closure
 from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve
-from helpers import explicit_weights
+from helpers import explicit_weights, run_python
 
 
 def _instance(n, seed, ties, beta=1.0):
@@ -119,3 +119,22 @@ def test_geodesic_action_and_gradient(n, ties):
     grad = _path_gradient(path, op, P, mids)
     grad_d = dense_oracle.path_gradient(path, spec.phi, spec.m, P_d, mids_d)
     _close(grad, grad_d, rel=1e-9)
+
+
+def test_tie_blocks_load_no_numpy_ma():
+    """The tie-group blocks are grouped by size in increasing order, as
+    ``np.unique`` would give them, without loading ``numpy.ma``."""
+    code = """
+import sys
+import numpy as np
+from graphfp.metric import MobilityOperator
+phi = np.random.default_rng(3).integers(0, 40, 200).astype(float)
+op = MobilityOperator(phi, np.full(200, 1 / 200))
+loaded = "numpy.ma" in sys.modules
+size = np.diff(np.append(op._starts, 200))
+ref = [op._starts[size == k][:, None] + np.arange(k) for k in np.unique(size[size > 1])]
+same = len(ref) == len(op._blocks) and all(
+    np.array_equal(a, b) for a, b in zip(ref, op._blocks))
+print(loaded, same, len(ref) > 2)
+"""
+    assert run_python(code) == "False True True"
