@@ -10,7 +10,6 @@ failure (including failed verifications).
 from __future__ import annotations
 
 import argparse
-import copy
 import itertools
 import json
 import os
@@ -149,13 +148,13 @@ def cmd_gibbs(args, cfg) -> int:
 
 def _run_simulation(cfg):
     spec = cfg.build_spec()
-    kind = cfg.dynamics_kind
+    kind = cfg.dynamics.kind
     if spec.beta == 0.0 and kind not in ("fpe", "beta_zero"):
         raise ConfigError(f"dynamics kind {kind!r} needs beta > 0")
     rho0 = cfg.build_initial(spec)
     use_constants = spec.beta > 0.0 and kind in ("fpe", "master")
     constants = invariant_constants(rho0, spec) if use_constants else None
-    traj = integrate(kind, rho0, spec, cfg.integrator(), sign=cfg.dynamics_sign)
+    traj = integrate(kind, rho0, spec, cfg.integrator, sign=cfg.dynamics.sign)
     report = monitor(traj, constants)
     try:
         fitted = decay_rate_fit(traj)
@@ -190,7 +189,7 @@ def cmd_metric(args, cfg) -> int:
         raise ConfigError("endpoint files carry different weight vectors")
     if not np.array_equal(spec_a.phi, spec_b.phi):
         raise ConfigError("endpoint files carry different potentials")
-    geo = geodesic_distance(rho_a, rho_b, spec_a.phi, cfg.geodesic())
+    geo = geodesic_distance(rho_a, rho_b, spec_a.phi, cfg.geodesic)
     out = _outdir(cfg)
     meta = _meta(cfg)
     path_to_csv(os.path.join(out, "path.csv"), geo.path, meta)
@@ -214,13 +213,12 @@ def cmd_talagrand(args, cfg) -> int:
     mu = gibbs(spec)
     constants = talagrand_constants(mu, cls)
     rng = np.random.default_rng(cfg.seed)
-    geo_cfg = cfg.geodesic()
     entries = []
     all_passed = True
     for k in range(args.samples):
         nu = sample_in_class(rng, spec.weights, cls)
         try:
-            rep = verify_talagrand(mu, nu, cls, geo_cfg, constants=constants)
+            rep = verify_talagrand(mu, nu, cls, cfg.geodesic, constants=constants)
             entries.append({"sample": k, **rep.as_dict()})
             all_passed &= rep.passed
         except ValueError as exc:
@@ -244,7 +242,7 @@ def cmd_w1(args, cfg) -> int:
         raise ConfigError("endpoint files carry different weight vectors")
     out = _outdir(cfg)
     if mu.interior and nu.interior:
-        rep = verify_w1_bound(mu, nu, spec_a.phi, cfg.geodesic())
+        rep = verify_w1_bound(mu, nu, spec_a.phi, cfg.geodesic)
         write_report(os.path.join(out, "w1.json"),
                      {**_meta(cfg), **rep.as_dict(), "bound_checked": True})
         return EXIT_OK if rep.passed else EXIT_RUNTIME
@@ -269,14 +267,12 @@ def cmd_sweep(args, cfg) -> int:
 
     rows = []
     for idx, combo in enumerate(combos):
-        tree = copy.deepcopy(cfg.resolved())
-        tree["sweep"] = {}
-        for key, val in zip(keys, combo):
-            _set_dotted(tree, key, val)
-        point = ExperimentConfig(raw=tree)
         row = {"index": idx, **{k: combo[i] for i, k in enumerate(keys)}}
         try:
-            point.validate()
+            tree = {**cfg.resolved(), "sweep": {}}
+            for key, val in zip(keys, combo):
+                _set_dotted(tree, key, val)
+            point = ExperimentConfig.load(values=tree)
             _, traj, constants, report, fitted = _run_simulation(point)
             row.update({
                 "fitted_rate": fitted,

@@ -113,16 +113,16 @@ def master_equation_rhs(rho: Density, spec: GraphSpec) -> TangentVector:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    t_end: float = 10.0
-    record_every: float = 0.1
+    t_end: float = 5.0
+    record_every: float = 0.05
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = math.inf
     positivity_floor: float = 1e-13
 
     def __post_init__(self):
-        if not (self.t_end > 0.0):
-            raise ValueError("t_end must be positive")
+        if not (0.0 < self.t_end < math.inf):
+            raise ValueError("t_end must be positive and finite")
         if not (0.0 < self.record_every <= self.t_end):
             raise ValueError("record_every must lie in (0, t_end]")
         for name in ("rel_tol", "abs_tol", "max_step", "positivity_floor"):

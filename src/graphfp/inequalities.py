@@ -229,7 +229,6 @@ class W1Report:
     w1: float
     distance_bound: float
     bound: float              # sqrt(2) * distance_bound + slack
-    refined: bool
     geodesic: GeodesicResult
 
     def as_dict(self) -> dict:
@@ -238,7 +237,6 @@ class W1Report:
             "w1": self.w1,
             "distance_bound": self.distance_bound,
             "bound": self.bound,
-            "refined": self.refined,
             "geodesic": self.geodesic.as_dict(),
             "ground_metric": GROUND_METRIC_NOTE,
         }
@@ -249,31 +247,27 @@ def verify_w1_bound(mu: Density, nu: Density, phi,
     """Check the closed-form W1 (see :func:`w1_distance`) against
     sqrt(2) * geodesic distance (+ slack).
 
-    The geodesic value carries quadrature error, so an initial failure
-    triggers one refinement with doubled knots before the final verdict.
+    The check cannot fail: W1 <= d for the midpoint-rule distance d of
+    every discrete path with unit-mass interior knots, converged or not.
+    Take psi = sign(mu - nu) / 2, so W1 = |sum_k <psi, V_k>_m| over the
+    path increments V_k. On segment k the pressure P_k solves
+    L(mid_k) P_k = V_k, and with the Dirichlet form
+    Q(p) = (1/2) sum_ij m_i m_j tau_ij (p_i - p_j)^2 of the midpoint,
+    Cauchy-Schwarz gives |<psi, V_k>_m| <= sqrt(Q(psi)) sqrt(E_k),
+    E_k = <P_k, V_k>_m. Since |psi_i - psi_j| <= 1 and
+    tau_ij <= max(rho_i, rho_j) <= rho_i + rho_j with sum_j m_j = 1,
+    Q(psi) <= sum_i m_i rho_i = 1. Hence
+    W1 <= sum_k sqrt(E_k) <= sqrt(K sum_k E_k) = d.
     """
     mu.require_interior("comparison bound")
     nu.require_interior("comparison bound")
     w1 = w1_distance(mu, nu)
     geo = geodesic_distance(mu, nu, phi, geo_config)
-    refined = False
     bound = SQRT2 * geo.distance + W1_BOUND_SLACK
-    if w1 > bound:
-        fine = GeodesicConfig(
-            knots=2 * geo_config.knots,
-            max_iters=geo_config.max_iters,
-            grad_tol=geo_config.grad_tol,
-            init="previous",
-            positivity_floor=geo_config.positivity_floor,
-        )
-        geo = geodesic_distance(mu, nu, phi, fine, initial_path=geo.path)
-        bound = SQRT2 * geo.distance + W1_BOUND_SLACK
-        refined = True
     return W1Report(
         passed=bool(w1 <= bound),
         w1=w1,
         distance_bound=geo.distance,
         bound=bound,
-        refined=refined,
         geodesic=geo,
     )

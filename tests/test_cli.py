@@ -62,6 +62,12 @@ _VALUES = st.one_of(
                      "geometric:q=0.5", "powerlaw:s=2.0", "geometric:q=2",
                      "explicit:file=missing.txt", "."]))
 
+_T_END = st.one_of(st.floats(-1.0, 2.0).map(repr),
+                   st.sampled_from([".inf", "-.inf", ".nan", "1e400", "null", "yes", "[]", "abc"]))
+_GEODESIC_KEYS = st.sampled_from(["geodesic", "geodesic.knots", "geodesic.max_iters",
+                                  "geodesic.grad_tol", "geodesic.positivity_floor",
+                                  "geodesic.init"])
+
 
 class TestImportPath:
     """Each check runs in a fresh interpreter, so modules loaded by other
@@ -115,6 +121,31 @@ class TestTypedFlags:
         assert type(report["config"]["seed"]) is int
 
 
+class TestTypedValues:
+    """Config values are converted by their declared type or rejected."""
+
+    @pytest.mark.parametrize("section", ["potential", "initial"])
+    def test_integer_path_names_a_file(self, tmp_path, section):
+        """``path=1`` is the file named 1, never file descriptor 1 (reading
+        that closes stdout), so the run is in a fresh interpreter."""
+        args = ["gibbs", *SMALL_SET, "--set", f"{section}.kind=file",
+                "--set", f"{section}.path=1", "--out", "out"]
+        code = (f"import os; from graphfp.cli import main; os.chdir({str(tmp_path)!r}); "
+                f"first = main({args!r}); open('1', 'w').write('1.0\\n' * 8); "
+                f"print(first, main({args!r}))")
+        assert run_python(code) == "2 0"
+
+    def test_embedded_values_carry_their_type(self, tmp_path):
+        assert run(["gibbs", *SMALL_SET, "--set", "graph.N=8.0", "--set", "beta=1",
+                    "--set", "geodesic.grad_tol='1e-9'", "--out", tmp_path]) == 0
+        config = json.loads((tmp_path / "constants.json").read_text())["config"]
+        assert config["graph"]["N"] == 8 and type(config["graph"]["N"]) is int
+        assert config["beta"] == 1.0 and type(config["beta"]) is float
+        assert config["geodesic"]["grad_tol"] == 1e-9
+        assert config["integrator"]["max_step"] == "inf"
+        assert "init" not in config["geodesic"]
+
+
 class TestOverrides:
     @pytest.mark.parametrize("override", ["graph.N=.inf", "potential.seed=.inf",
                                           "initial.epsilon=1e400", "initial.epsilon=.nan",
@@ -156,6 +187,43 @@ class TestOverrides:
                 assert run(args) in (0, 2, 3)
             finally:
                 os.chdir(old)
+
+    @staticmethod
+    def _exit_code_in_fresh_dir(tmp_path, args, pairs):
+        for key, value in pairs:
+            args += ["--set", f"{key}={value}"]
+        with tempfile.TemporaryDirectory(dir=tmp_path) as cwd:
+            old = os.getcwd()
+            os.chdir(cwd)
+            try:
+                return run(args)
+            finally:
+                os.chdir(old)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(st.tuples(_KEYS.filter(lambda k: k != "integrator.t_end"), _VALUES),
+                              st.tuples(st.just("integrator.t_end"), _T_END)),
+                    min_size=1, max_size=3))
+    def test_arbitrary_simulate_overrides_never_raise(self, tmp_path, pairs):
+        """As above for ``simulate``, with ``t_end`` at most 2."""
+        base = {**SMALL, "integrator": {"t_end": 0.5, "record_every": 0.05}}
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        args = ["simulate", "--config", tmp_path / "base.json"]
+        assert self._exit_code_in_fresh_dir(tmp_path, args, pairs) in (0, 2, 3)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.one_of(_KEYS, _GEODESIC_KEYS), _VALUES),
+                    min_size=1, max_size=3))
+    def test_arbitrary_metric_overrides_never_raise(self, tmp_path, pairs):
+        """As above for ``metric`` on one fixed n=6 pair."""
+        w = explicit_weights(6, seed=6)
+        spec = g.GraphSpec(weights=w, phi=np.random.default_rng(6).uniform(-1, 1, 6), beta=1.0)
+        for name, seed in (("a.txt", 60), ("b.txt", 61)):
+            save_density(tmp_path / name, random_interior(seed, w), spec)
+        args = ["metric", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt"]
+        assert self._exit_code_in_fresh_dir(tmp_path, args, pairs) in (0, 2, 3)
 
 
 class TestDensityFileFormat:

@@ -223,3 +223,24 @@ class TestVerifyW1Bound:
         mu = random_interior(30, w)
         rep = g.verify_w1_bound(mu, nu, np.zeros(6))
         assert rep.passed
+
+    @pytest.mark.parametrize("config", [g.GeodesicConfig(knots=2, max_iters=1),
+                                        g.GeodesicConfig()], ids=["one_step", "default"])
+    @pytest.mark.parametrize("geometric", [False, True], ids=["explicit", "geometric"])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("n", [2, 6, 20, 40])
+    def test_w1_never_exceeds_the_distance(self, n, ties, geometric, config):
+        """W1 <= d holds for every discrete path, converged or not (the
+        proof is in the verify_w1_bound docstring), so the comparison
+        with sqrt(2) d cannot fail."""
+        if geometric:
+            w = g.build_weights(g.WeightFamily.geometric(0.5), n)
+        else:
+            w = explicit_weights(n, seed=n)
+        rng = np.random.default_rng([n, ties, geometric])
+        phi = rng.integers(0, 2, n).astype(float) if ties else rng.uniform(-1, 1, n)
+        for k in range(2):
+            mu = random_interior(int(rng.integers(1 << 30)), w, spread=1.5)
+            nu = random_interior(int(rng.integers(1 << 30)), w, spread=1.5)
+            geo = g.geodesic_distance(mu, nu, phi, config)
+            assert g.w1_distance(mu, nu) <= geo.distance
