@@ -10,6 +10,7 @@ failure (including failed verifications).
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -109,6 +110,10 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # The heap built by the imports lives until exit: freezing it keeps every
+    # collection, the one at interpreter shutdown included, from traversing
+    # it again. Only here, since tests and tracers call main() in-process.
+    gc.freeze()
     sys.exit(main())
 
 
@@ -178,6 +183,7 @@ def cmd_simulate(args, cfg) -> int:
         "monitor_all_passed": report.all_passed,
         "decay_rate_fit": fitted,
         "theoretical_rate": constants.decay_rate if constants is not None else None,
+        "integrator": traj.stats.as_dict(),
     })
     return EXIT_OK if report.all_passed else EXIT_RUNTIME
 

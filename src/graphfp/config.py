@@ -266,11 +266,18 @@ class ExperimentConfig:
 
 def perturbed_gibbs(spec: GraphSpec, epsilon: float, seed: int) -> Density:
     """Gibbs state with multiplicative log-uniform noise, renormalized; the
-    result is always interior, matching the flow's hypotheses."""
+    result is always interior, matching the flow's hypotheses, or a
+    ConfigError names an ``epsilon`` too large for float64."""
     star = gibbs(spec)
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-epsilon, epsilon, spec.N)
-    return Density.normalized(star.rho * np.exp(noise), spec.weights)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        raw = star.rho * np.exp(noise)
+        rho = raw / float(np.dot(spec.m, raw))
+    if not (np.isfinite(rho).all() and rho.min() > 0.0):
+        raise ConfigError(f"initial.epsilon={epsilon!r} is too large: the perturbed "
+                          "Gibbs state is not a finite interior density")
+    return Density(rho, spec.weights)
 
 
 def _read_floats(path) -> list:

@@ -12,7 +12,7 @@ satisfy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,27 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4
+# Dense output of the pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
+# y(t + theta h) = y + h (K^T P) [theta, theta^2, theta^3, theta^4] over the
+# seven stages K, a 4th-order continuous extension.
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_THETA_POWERS = np.arange(1, 5)
+
+# Most record times one trajectory may ask for (t_end / record_every): every
+# recorded state is kept in memory and written out.
+MAX_RECORDS = 10 ** 6
 
 
 def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0):
@@ -125,9 +146,28 @@ class IntegratorConfig:
             raise ValueError("t_end must be positive and finite")
         if not (0.0 < self.record_every <= self.t_end):
             raise ValueError("record_every must lie in (0, t_end]")
+        if self.t_end / self.record_every > MAX_RECORDS:
+            raise ValueError(f"t_end / record_every must not exceed {MAX_RECORDS} records")
         for name in ("rel_tol", "abs_tol", "max_step", "positivity_floor"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
+
+
+@dataclass
+class IntegratorStats:
+    """Deterministic counters of one integration: right-hand-side
+    evaluations, accepted steps, rejected steps by cause and the range of
+    accepted step sizes."""
+
+    nfev: int = 0
+    accepted: int = 0
+    rejected: dict = field(
+        default_factory=lambda: {"positivity": 0, "error": 0, "nonfinite": 0})
+    h_min: float = math.inf
+    h_max: float = 0.0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -146,6 +186,7 @@ class TrajectoryRecord:
     kind: str
     rho_star: Density | None = None
     sign: float = -1.0
+    stats: IntegratorStats = field(default_factory=IntegratorStats)
 
     def __len__(self):
         return self.times.size
@@ -153,79 +194,116 @@ class TrajectoryRecord:
 
 def _record_grid(config: IntegratorConfig) -> np.ndarray:
     n = int(math.floor(config.t_end / config.record_every + 1e-9))
-    times = [k * config.record_every for k in range(n + 1)]
+    times = np.arange(n + 1) * config.record_every
     if times[-1] < config.t_end * (1.0 - 1e-12):
-        times.append(config.t_end)
-    return np.asarray(times)
+        times = np.append(times, config.t_end)
+    return times
 
 
-def _initial_step(f, y0, config):
+def _initial_step(y0, f0, config):
     scale = config.abs_tol + config.rel_tol * np.abs(y0)
-    f0 = f(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
     d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
     h0 = 0.01 * d0 / d1 if d1 > 0.0 else config.record_every
-    return min(h0, config.record_every, config.max_step, config.t_end)
+    return min(h0, config.max_step, config.t_end)
 
 
 def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfig,
               sign: float = -1.0) -> TrajectoryRecord:
     """Advance one trajectory with an adaptive embedded Runge-Kutta pair.
 
-    A step is rejected and halved whenever any stage state falls below the
-    positivity floor or the embedded error estimate fails; every recorded
-    state must carry unit mass within 1e-10 or the run aborts.
+    Step sizes follow the error tolerances, bounded only by ``max_step``
+    and the last record time; the record times a step covers are filled
+    from the pair's 4th-order dense output. A step is rejected and h halved
+    whenever a stage state or an interpolated record falls below the
+    positivity floor or is not finite; a failed error estimate shrinks h by
+    the usual controller. Every recorded state must carry unit mass within
+    1e-10 or the run aborts. The record's ``stats`` counts what was done.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown rhs kind {kind!r}; expected one of {KINDS}")
     if spec.beta > 0.0:
         rho0.require_interior("integration with beta > 0")
-    f = _rhs_closure(kind, spec, sign)
+    rhs = _rhs_closure(kind, spec, sign)
+    stats = IntegratorStats()
+
+    def f(y):
+        stats.nfev += 1
+        return rhs(y)
+
     floor = config.positivity_floor
     rec_times = _record_grid(config)
+    t_final = float(rec_times[-1])
 
     y = rho0.rho.copy()
     t = 0.0
     k1 = f(y)
-    h = _initial_step(f, y, config)
-
+    h = _initial_step(y, k1, config)
     snapshots = [y.copy()]
-    for target in rec_times[1:]:
-        while t < target * (1.0 - 1e-14) - 1e-300:
-            h_use = min(h, config.max_step, target - t)
-            if h_use < 1e-14 * max(1.0, abs(t)):
-                raise StiffnessError(
-                    f"step size underflow at t={t!r} (h={h_use!r})", t=t, state=y.copy()
-                )
-            out = _dp54_step(f, y, h_use, k1, floor)
-            if out is None:
+    nxt = 1  # index of the first record time not yet filled
+    while t < t_final:
+        h_use = min(h, config.max_step)
+        last = t + h_use >= t_final * (1.0 - 1e-14)
+        if last:
+            h_use = t_final - t
+        if h_use < 1e-14 * max(1.0, abs(t)):
+            raise StiffnessError(
+                f"step size underflow at t={t!r} (h={h_use!r})", t=t, state=y.copy()
+            )
+        out = _dp54_step(f, y, h_use, k1, floor)
+        if isinstance(out, str):
+            stats.rejected[out] += 1
+            h = 0.5 * h_use
+            continue
+        y_new, K, err = out
+        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        with np.errstate(invalid="ignore", over="ignore"):
+            en = math.sqrt(float(np.mean((err / scale) ** 2)))
+        if not math.isfinite(en):
+            stats.rejected["nonfinite"] += 1
+            h = 0.5 * h_use
+            continue
+        if en > 1.0:
+            stats.rejected["error"] += 1
+            h = h_use * max(0.2, min(0.9 * en ** -0.2, 0.7))
+            continue
+        t_new = t_final if last else t + h_use
+        end = int(np.searchsorted(rec_times, t_new, side="right"))
+        records = ()
+        if end > nxt:
+            theta = (rec_times[nxt:end] - t) / h_use
+            records = y + h_use * ((theta[:, None] ** _THETA_POWERS) @ (_DP_P.T @ K))
+            if last:
+                records[-1] = y_new
+            cause = _leaves_cone(records, floor)
+            if cause:
+                stats.rejected[cause] += 1
                 h = 0.5 * h_use
                 continue
-            y_new, k_last, err = out
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            with np.errstate(invalid="ignore", over="ignore"):
-                en = math.sqrt(float(np.mean((err / scale) ** 2)))
-            if not math.isfinite(en):
-                h = 0.5 * h_use
-                continue
-            if en <= 1.0:
-                t += h_use
-                y = y_new
-                k1 = k_last
-                factor = 5.0 if en == 0.0 else min(5.0, max(0.2, 0.9 * en ** -0.2))
-                h = h_use * factor
-            else:
-                h = h_use * max(0.2, min(0.9 * en ** -0.2, 0.7))
-        t = float(target)
-        snapshots.append(y.copy())
+        stats.accepted += 1
+        stats.h_min = min(stats.h_min, h_use)
+        stats.h_max = max(stats.h_max, h_use)
+        snapshots.extend(records)
+        nxt = end
+        t, y, k1 = t_new, y_new, K[6]
+        factor = 5.0 if en == 0.0 else min(5.0, max(0.2, 0.9 * en ** -0.2))
+        h = h_use * factor
 
-    return _build_record(kind, spec, rec_times, snapshots, sign)
+    return _build_record(kind, spec, rec_times, snapshots, sign, stats)
+
+
+def _leaves_cone(states, floor):
+    """Why ``states`` may not be taken: "nonfinite", "positivity", or ""."""
+    if not np.isfinite(states).all():
+        return "nonfinite"
+    return "positivity" if states.min() < floor else ""
 
 
 def _dp54_step(f, y, h, k1, floor):
-    """One embedded step; returns None when a stage leaves the positive cone."""
-    n = y.size
-    k = np.empty((7, n))
+    """One embedded step: (5th-order state, 7 x n stage matrix, error
+    estimate), or the cause of rejection when a stage state leaves the
+    positive cone."""
+    k = np.empty((7, y.size))
     k[0] = k1
     ys = y
     for s in range(1, 7):
@@ -235,15 +313,16 @@ def _dp54_step(f, y, h, k1, floor):
             if a[j] != 0.0:
                 incr = incr + a[j] * k[j]
         ys = y + h * incr
-        if ys.min() < floor or not np.all(np.isfinite(ys)):
-            return None
+        cause = _leaves_cone(ys, floor)
+        if cause:
+            return cause
         k[s] = f(ys)
     # Stage 7 input is the 5th-order solution itself.
     err = h * (_DP_E @ k)
-    return ys, k[6], err
+    return ys, k, err
 
 
-def _build_record(kind, spec, times, snapshots, sign):
+def _build_record(kind, spec, times, snapshots, sign, stats):
     weights = spec.weights
     rho_star = gibbs(spec) if spec.beta > 0.0 else None
     states, F, L, mass, lo, hi = [], [], [], [], [], []
@@ -270,6 +349,7 @@ def _build_record(kind, spec, times, snapshots, sign):
         kind=kind,
         rho_star=rho_star,
         sign=sign,
+        stats=stats,
     )
 
 

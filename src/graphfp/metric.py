@@ -578,9 +578,10 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
         a_y, p_y, mids_y = _segment_solve(y, op)
         grad = _path_gradient(y, op, p_y, mids_y)
         g_m = m_gradient(grad)
+        g_sup = grad_sup(g_m)
         at_anchor = momentum == 1.0 and np.array_equal(y, x)
         if at_anchor:
-            gnorm = grad_sup(g_m)
+            gnorm = g_sup
             if gnorm <= config.grad_tol * (1.0 + abs(act)):
                 stop = "converged"
                 break
@@ -596,8 +597,12 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
             if cand[1:-1].min() < config.positivity_floor:
                 eta *= 0.5
                 continue
-            c_act, _, _ = _segment_solve(cand, op)
-            if c_act <= a_y - 1e-4 * eta * desc:
+            c_act, p_c, mids_c = _segment_solve(cand, op)
+            # Near grad_tol the Armijo decrease falls below half an ulp of
+            # the action: a step that leaves the action unchanged must then
+            # lower the gradient norm, which the convergence test reads.
+            if c_act <= a_y - 1e-4 * eta * desc and (c_act < a_y or grad_sup(
+                    m_gradient(_path_gradient(cand, op, p_c, mids_c))) < g_sup):
                 accepted = True
                 break
             eta *= 0.5

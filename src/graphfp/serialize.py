@@ -105,12 +105,14 @@ def trajectory_to_csv(path, traj, meta: dict | None = None) -> None:
 def snapshots_to_csv(outdir, traj, meta: dict | None = None) -> list:
     """Per-vertex snapshot files state_<k>.csv with rows ``i, rho_i``."""
     header = _csv_header_comment(meta) + "i,rho_i\n"
+    # One row template for all files: %r of a Python float is fmt's repr.
+    n = len(traj.states[0].rho) if traj.states else 0
+    rows = "".join(f"{i},%r\n" for i in range(1, n + 1))
     paths = []
     for k, state in enumerate(traj.states):
         p = os.path.join(outdir, f"state_{k}.csv")
-        rows = "".join(f"{i},{fmt(v)}\n" for i, v in enumerate(state.rho, start=1))
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + rows)
+            fh.write(header + rows % tuple(state.rho.tolist()))
         paths.append(p)
     return paths
 

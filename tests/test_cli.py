@@ -4,6 +4,8 @@ import json
 import math
 import os
 import tempfile
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 import graphfp as g
 from graphfp.cli import main
-from graphfp.serialize import load_density, save_density
+from graphfp.serialize import _csv_header_comment, fmt, load_density, save_density, \
+    snapshots_to_csv
 from helpers import explicit_weights, random_interior, run_python
 
 
@@ -247,6 +250,26 @@ class TestDensityFileFormat:
             load_density(p)
 
 
+def _per_value_rows(rho):
+    """The snapshot rows as the per-value formatter wrote them."""
+    return "".join(f"{i},{fmt(v)}\n" for i, v in enumerate(rho, start=1))
+
+
+class TestSnapshotFiles:
+    def test_bytes_match_the_per_value_formatter(self, tmp_path):
+        values = np.array([0.1 + 0.2, 1e-300, 5e-324, 1e16, 1.0, 2.0 / 3.0, -0.0, 1e-5,
+                           123456789.125, 1.7976931348623157e308])
+        traj = SimpleNamespace(states=[SimpleNamespace(rho=values),
+                                       SimpleNamespace(rho=values[::-1] / 3.0)])
+        meta = {"config": {"outputs": "100%s %d %r"}, "seed": 1}  # '%' stays literal
+        paths = snapshots_to_csv(tmp_path, traj, meta)
+        header = _csv_header_comment(meta) + "i,rho_i\n"
+        assert len(paths) == 2
+        for path, state in zip(paths, traj.states):
+            with open(path, "rb") as fh:
+                assert fh.read() == (header + _per_value_rows(state.rho)).encode()
+
+
 class TestGibbsCommand:
     def test_constant_potential_gives_uniform(self, tmp_path):
         cfg = write_config(tmp_path, BASE.format(
@@ -277,6 +300,12 @@ seed: 0
         expect = e / np.dot(spec.m, e)
         np.testing.assert_allclose(rho.rho, expect, rtol=1e-14)
 
+    def test_overflowing_epsilon_is_named(self, tmp_path, capsys):
+        assert run(["gibbs", *SMALL_SET, "--set", "initial.epsilon=800",
+                    "--out", tmp_path / "out"]) == 2
+        assert "initial.epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_beta_zero_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, BASE.format(
             n=12, pot="constant", beta=0.0, eps=0.5, t_end=1.0, rec=0.1,
@@ -304,6 +333,21 @@ class TestSimulateCommand:
         body = json.loads((tmp_path / "out" / "simulate.json").read_text())
         assert body["decay_rate_fit"] > 0.0
         assert body["decay_rate_fit"] >= body["theoretical_rate"] - 1e-6
+
+    def test_integrator_counters_are_reported(self, tmp_path):
+        assert run(["simulate", "--config", "configs/decay.yaml",
+                    "--out", tmp_path / "out"]) == 0
+        stats = json.loads((tmp_path / "out" / "simulate.json").read_text())["integrator"]
+        assert 0 < stats["accepted"] and stats["nfev"] <= 200
+        assert set(stats["rejected"]) == {"positivity", "error", "nonfinite"}
+        assert 0.0 < stats["h_min"] <= stats["h_max"]
+
+    def test_huge_record_grid_is_config_error(self, tmp_path):
+        start = time.perf_counter()
+        assert run(["simulate", *SMALL_SET, "--set", "integrator.record_every=1e-300",
+                    "--out", tmp_path / "out"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert not (tmp_path / "out").exists()
 
     def test_master_mode_checks_sup_norm(self, tmp_path):
         assert run(["simulate", "--config", "configs/master.yaml",

@@ -213,6 +213,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             g.IntegratorConfig(rel_tol=0.0)
 
+    @pytest.mark.parametrize("record_every", [1e-300, 5e-324, 0.9e-6])
+    def test_record_grid_is_bounded(self, record_every):
+        # rejected from t_end / record_every alone, before any grid exists
+        with pytest.raises(ValueError, match="records"):
+            g.IntegratorConfig(t_end=1.0, record_every=record_every)
+        g.IntegratorConfig(t_end=1.0, record_every=1.0 / dynamics.MAX_RECORDS)
+
     def test_stiffness_error_when_floor_blocks_flow(self):
         # the flow must cross the (huge) positivity floor, so every step is
         # rejected and the step size underflows
@@ -222,6 +229,66 @@ class TestIntegrate:
         with pytest.raises(StiffnessError) as err:
             g.integrate("fpe", rho0, spec, cfg)
         assert err.value.state is not None
+
+
+def _decay_instance(kind):
+    """The shipped decay experiment at N=40 (fpe, phibar) or the master
+    experiment at N=30, with a seeded potential and start."""
+    if kind == "master":
+        w = g.build_weights(g.WeightFamily.geometric(0.6), 30)
+        spec = g.GraphSpec(weights=w, phi=np.zeros(w.truncation_N), beta=1.0)
+    else:
+        w = g.build_weights(g.WeightFamily.geometric(0.5), 40)
+        phi = np.random.default_rng(1).uniform(-1.0, 1.0, w.truncation_N)
+        spec = g.GraphSpec(weights=w, phi=phi, beta=1.0)
+    return spec, perturbed_gibbs(spec, 0.5, 1)
+
+
+class TestDenseOutput:
+    @pytest.mark.parametrize("kind", ["fpe", "phibar", "master"])
+    @pytest.mark.parametrize("record_every", [0.01, 1.0],
+                             ids=["records-within-steps", "steps-within-records"])
+    def test_records_match_a_tight_reference(self, kind, record_every):
+        spec, rho0 = _decay_instance(kind)
+        cfg = g.IntegratorConfig(t_end=4.0, record_every=record_every)
+        ref_cfg = g.IntegratorConfig(t_end=4.0, record_every=record_every,
+                                     rel_tol=1e-13, abs_tol=1e-15)
+        traj = g.integrate(kind, rho0, spec, cfg)
+        ref = g.integrate(kind, rho0, spec, ref_cfg)
+        if record_every < 0.05:
+            assert traj.stats.accepted < len(traj) / 2   # one step covers several records
+        else:
+            assert traj.stats.accepted > 2 * len(traj)   # several steps per record
+        np.testing.assert_array_equal(traj.times, ref.times)
+        for got, want in zip(traj.states, ref.states):
+            bound = 10.0 * (cfg.abs_tol + cfg.rel_tol * np.abs(want.rho))
+            assert np.all(np.abs(got.rho - want.rho) <= bound)
+
+    def test_interpolation_matrix_is_the_dormand_prince_one(self):
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        np.testing.assert_array_equal(dynamics._DP_P, rk.RK45.P)
+
+    def test_interpolated_record_below_the_floor_rejects_the_step(self, monkeypatch):
+        # an interpolant that overshoots 1000-fold: the stages stay positive,
+        # so only the interpolated records can fall below the floor
+        spec, rho0 = _decay_instance("fpe")
+        cfg = g.IntegratorConfig(t_end=1.0, record_every=0.01)
+        clean = g.integrate("fpe", rho0, spec, cfg)
+        assert clean.stats.rejected["positivity"] == 0
+        monkeypatch.setattr(dynamics, "_DP_P", 1e3 * dynamics._DP_P)
+        traj = g.integrate("fpe", rho0, spec, cfg)
+        assert traj.stats.rejected["positivity"] > 0
+        assert min(traj.inf_values) >= cfg.positivity_floor
+
+    def test_rhs_count_on_the_decay_run(self):
+        # 494 evaluations when every record time ended a step, 133 now
+        spec, rho0 = _decay_instance("fpe")
+        traj = g.integrate("fpe", rho0, spec, g.IntegratorConfig(t_end=4.0, record_every=0.05))
+        stats = traj.stats
+        assert stats.nfev <= 200
+        assert stats.accepted >= 1 and 0.0 < stats.h_min <= stats.h_max
+        attempts = stats.accepted + sum(stats.rejected.values())
+        assert stats.nfev <= 1 + 6 * attempts
 
 
 class TestMonitor:

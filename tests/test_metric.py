@@ -504,6 +504,23 @@ class TestPreconditionedDescent:
         oracle = softmax_oracle_action(a, b, phi, g.GeodesicConfig().knots)
         assert res.action == pytest.approx(oracle, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [1, 2, 8])
+    def test_every_accepted_step_makes_progress(self, seed):
+        # n=40 pairs with potential ties. At seeds 1 and 2 the Armijo test
+        # used to accept steps the action could not resolve, whether or not
+        # they helped, until the stall window stopped the call unconverged
+        # after 50 iterations; a flat step must now lower the gradient norm.
+        w = explicit_weights(40, seed=seed)
+        phi = np.random.default_rng(seed).integers(0, 3, 40).astype(float)
+        a, b = random_interior(10 + seed, w), random_interior(20 + seed, w)
+        res = g.geodesic_distance(a, b, phi)
+        assert res.stop_reason == "converged" and res.warnings == ()
+        assert res.grad_norm <= 1e-8 * (1.0 + res.action)
+        assert res.iterations <= 40
+        assert np.all(np.diff(res.action_history) <= 0.0)
+        oracle = softmax_oracle_action(a, b, phi, g.GeodesicConfig().knots)
+        assert res.action == pytest.approx(oracle, rel=1e-9)
+
     def test_max_iters_is_reported(self):
         a, b, phi = _pair(20)
         res = g.geodesic_distance(a, b, phi, g.GeodesicConfig(max_iters=3))
