@@ -210,6 +210,8 @@ def cmd_metric(args, cfg) -> int:
 
 
 def cmd_talagrand(args, cfg) -> int:
+    if args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     if args.nu_inf > args.nu_sup:
         raise ConfigError("nu-inf must not exceed nu-sup")
     cls = TalagrandClass(nu_inf=args.nu_inf, nu_sup=args.nu_sup)

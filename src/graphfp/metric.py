@@ -5,9 +5,10 @@ the upwind density on potential-ordered pairs and the logarithmic mean on
 potential ties. They define the mobility Laplacian L(rho), applied in
 potential-sorted order by prefix sums (:class:`MobilityOperator`); its
 inverse gives the metric tensor. Geodesic distances are estimated by
-minimizing a midpoint-rule path action with accelerated descent whose
-direction is preconditioned by the inverse discrete time Laplacian of the
-path, applied in closed form.
+minimizing a midpoint-rule path action by projected steepest descent in
+the metric: the m-gradient is preconditioned by the inverse discrete time
+Laplacian of the path, applied in closed form, and then mapped by L(rho)
+at every knot.
 """
 
 from __future__ import annotations
@@ -144,25 +145,31 @@ class MobilityOperator:
     def _upwind(self, rs, mr, us):
         """Sorted-order sum over j outside the tie group of i of
         m_j tau_ij (u_i - u_j), given rho and m rho in sorted order."""
-        us = us - us[0]   # L annihilates constants; smaller prefix sums lose less
-        low = _prefix(self._ms * us)[self._lo]
-        high = _suffix(mr * us)[self._hi]
-        return rs * (us * self._low_m - low) + us * _suffix(mr)[self._hi] - high
+        us = us - us[..., 0, None]   # L annihilates constants; smaller prefix sums lose less
+        low = _prefix(self._ms * us)[..., self._lo]
+        high = _suffix(mr * us)[..., self._hi]
+        return rs * (us * self._low_m - low) + us * _suffix(mr)[..., self._hi] - high
 
     def _tie_scatter(self, wa, wb):
         """Per sorted position, the sum of ``wa`` over its tie pairs (a, .)
-        plus the sum of ``wb`` over its tie pairs (., b)."""
+        plus the sum of ``wb`` over its tie pairs (., b), stacked over the
+        leading axes of ``wa``: one bincount, each row offset by n."""
         a, b = self._pairs
-        return np.bincount(a, wa, self.n) + np.bincount(b, wb, self.n)
+        lead = wa.shape[:-1]
+        rows = math.prod(lead)
+        base = self.n * np.arange(rows)[:, None]
+        out = (np.bincount((base + a).ravel(), wa.ravel(), rows * self.n)
+               + np.bincount((base + b).ravel(), wb.ravel(), rows * self.n))
+        return out.reshape(lead + (self.n,))
 
     def apply(self, rho, p):
-        """L(rho) p."""
+        """L(rho) p, stacked over the leading axes of rho and p."""
         o = self.order
-        rs, ps = rho[o], p[o]
+        rs, ps = rho[..., o], p[..., o]
         out = self._upwind(rs, self._ms * rs, ps)
         if self.has_ties:
             a, b = self._pairs
-            flux = log_mean(rs[a], rs[b]) * (ps[a] - ps[b])
+            flux = log_mean(rs[..., a], rs[..., b]) * (ps[..., a] - ps[..., b])
             out += self._tie_scatter(self._ms[b] * flux, -self._ms[a] * flux)
         return self._unsort(out)
 
@@ -428,7 +435,9 @@ class GeodesicResult:
     """Midpoint-rule estimate of the geodesic distance, the path that
     attains it, and why the descent stopped: ``stop_reason`` is
     ``"converged"`` (gradient norm at or below ``grad_tol``), ``"stall"``
-    (no measurable decrease of the action) or ``"max_iters"``."""
+    (60 step halvings found no acceptable step) or ``"max_iters"``;
+    ``iterations`` counts accepted steps and ``segment_solves`` the batched
+    mobility solves of the call."""
 
     distance: float
     path: list
@@ -438,6 +447,7 @@ class GeodesicResult:
     stop_reason: str
     action_history: list = field(default_factory=list)
     warnings: tuple = ()
+    segment_solves: int = 0
 
     @property
     def converged(self) -> bool:
@@ -451,6 +461,7 @@ class GeodesicResult:
             "grad_norm": self.grad_norm,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
+            "segment_solves": self.segment_solves,
             "warnings": list(self.warnings),
         }
 
@@ -515,20 +526,31 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     densities.
 
     A path of ``knots`` segments with fixed endpoints, started on the
-    straight line between them, is relaxed by accelerated projected descent
-    with backtracking: knots are pulled back to the unit-mass slice after
-    every trial step, and steps that cross the positivity floor are
-    rejected outright. The discrete action couples
-    the knots through a K (2, -1, -1) second difference in time, so the
-    descent direction is the m-weighted gradient preconditioned by the
-    inverse time Laplacian, d = T^-1 (grad / m - m-mean) with
-    T = K tridiag(-1, 2, -1), applied vertex by vertex in closed form
-    (:func:`_time_laplacian_solve`). The Armijo test uses the directional
-    derivative sum grad d; the convergence test keeps the largest
-    m-weighted norm of the unpreconditioned gradient against ``grad_tol``
-    (1 + action). The returned distance is the square root of the minimized
-    midpoint-rule action, which equals the arc length at the constant-speed
-    minimizer; it is not proven to bound the true distance from either side.
+    straight line between them, is relaxed by projected descent with Armijo
+    backtracking. The step is the steepest descent of the action in the
+    metric itself, preconditioned in time: with g_m = grad / m - m-mean the
+    m-weighted gradient and T = K tridiag(-1, 2, -1) the time Laplacian that
+    couples the knots (:func:`_time_laplacian_solve`), the direction at knot
+    k is d_k = L(x_k) (T^-1 g_m)_k, one stacked
+    :meth:`MobilityOperator.apply` over all knots. L varies along the path,
+    so should sum grad d fail to be positive the step falls back to
+    T^-1 g_m, which always descends. A trial step is rejected if it takes
+    any knot entry below half its current value (fraction to the boundary)
+    or below the positivity floor; knots are pulled back to the unit-mass
+    slice. Near ``grad_tol`` the Armijo decrease falls below half an ulp of
+    the action, so a step that leaves the action unchanged must lower the
+    gradient norm instead. The step length halves on every rejected trial
+    and grows by 1.2 after every accepted step.
+
+    The call stops ``converged`` once the largest per-knot m-weighted norm
+    of g_m is at most ``grad_tol`` (1 + action), ``stall`` when 60 halvings
+    find no acceptable step, and ``max_iters`` after that many accepted
+    steps. ``iterations`` counts the accepted steps, ``grad_norm`` is the
+    gradient norm of the returned path and ``segment_solves`` counts the
+    :func:`_segment_solve` calls. The returned distance is the square root
+    of the minimized midpoint-rule action, which equals the arc length at
+    the constant-speed minimizer; it is not proven to bound the true
+    distance from either side.
     """
     rho_a.require_interior("geodesic endpoint")
     rho_b.require_interior("geodesic endpoint")
@@ -546,105 +568,55 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
 
     t = np.linspace(0.0, 1.0, K + 1)[:, None]
     x = (1.0 - t) * rho_a.rho[None, :] + t * rho_b.rho[None, :]
-
-    def project(path):
-        out = path.copy()
-        out[1:-1] += (1.0 - out[1:-1] @ m)[:, None]
-        return out
-
-    def m_gradient(grad):
-        d = grad / m[None, :]
-        return d - (d @ m)[:, None]
-
-    def grad_sup(d):
-        return math.sqrt(float(((d * d) @ m).max()))
-
     op = MobilityOperator(phi, m)
+
+    def gradient(path, P, mids):
+        """Euclidean gradient, its m-weighted form g_m and the norm of g_m."""
+        grad = _path_gradient(path, op, P, mids)
+        g_m = grad / m[None, :]
+        g_m = g_m - (g_m @ m)[:, None]
+        return grad, g_m, math.sqrt(float(((g_m * g_m) @ m).max()))
+
     act, P, mids = _segment_solve(x, op)
+    solves = 1
+    grad, g_m, gnorm = gradient(x, P, mids)
     history = [act]
-    stop = "max_iters"
-    gnorm = grad_sup(m_gradient(_path_gradient(x, op, P, mids)))
+    stop = "converged"
     it = 0
     eta = 1.0
-    y = x.copy()
-    x_prev = x.copy()
-    momentum = 1.0
-    recent: list[float] = []  # relative decrease of recent accepted steps
-    stall_window = 30
-    # Momentum-accelerated projected descent, kept monotone by restarting
-    # the extrapolation whenever it stops paying off; plain backtracking
-    # steps are taken from the restart point.
-    for it in range(1, config.max_iters + 1):
-        a_y, p_y, mids_y = _segment_solve(y, op)
-        grad = _path_gradient(y, op, p_y, mids_y)
-        g_m = m_gradient(grad)
-        g_sup = grad_sup(g_m)
-        at_anchor = momentum == 1.0 and np.array_equal(y, x)
-        if at_anchor:
-            gnorm = g_sup
-            if gnorm <= config.grad_tol * (1.0 + abs(act)):
-                stop = "converged"
-                break
-        d = _time_laplacian_solve(g_m)
+    while gnorm > config.grad_tol * (1.0 + abs(act)):
+        if it == config.max_iters:
+            stop = "max_iters"
+            break
+        u = _time_laplacian_solve(g_m)
+        d = op.apply(x[1:-1], u)
         desc = float((grad * d).sum())
-        accepted = False
-        cand = None
-        c_act = a_y
+        if not desc > 0.0:
+            d = u
+            desc = float((grad * d).sum())
         for _ in range(60):
-            cand = y.copy()
+            cand = x.copy()
             cand[1:-1] -= eta * d
-            cand = project(cand)
-            if cand[1:-1].min() < config.positivity_floor:
+            cand[1:-1] += (1.0 - cand[1:-1] @ m)[:, None]
+            if (cand[1:-1].min() < config.positivity_floor
+                    or (cand[1:-1] < 0.5 * x[1:-1]).any()):
                 eta *= 0.5
                 continue
-            c_act, p_c, mids_c = _segment_solve(cand, op)
-            # Near grad_tol the Armijo decrease falls below half an ulp of
-            # the action: a step that leaves the action unchanged must then
-            # lower the gradient norm, which the convergence test reads.
-            if c_act <= a_y - 1e-4 * eta * desc and (c_act < a_y or grad_sup(
-                    m_gradient(_path_gradient(cand, op, p_c, mids_c))) < g_sup):
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted or c_act > act:
-            if at_anchor:
-                if not accepted:
-                    stop = "stall"
+            c_act, P, mids = _segment_solve(cand, op)
+            solves += 1
+            if c_act <= act - 1e-4 * eta * desc:
+                c_grad, c_gm, c_norm = gradient(cand, P, mids)
+                if c_act < act or c_norm < gnorm:
                     break
-                # accepted but no global progress is impossible at the anchor
-            y = x.copy()
-            momentum = 1.0
-            if not accepted:
-                eta = 1.0
-            continue
-        m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
-        y = project(cand + ((momentum - 1.0) / m_next) * (cand - x_prev))
-        if y[1:-1].min() < config.positivity_floor:
-            y = cand.copy()
-            momentum = 1.0
+            eta *= 0.5
         else:
-            momentum = m_next
-        recent.append((act - c_act) / max(abs(act), 1e-300))
-        if len(recent) > stall_window:
-            recent.pop(0)
-        x_prev = x
-        x, act = cand, c_act
-        history.append(act)
-        if len(recent) == stall_window and max(recent) < 1e-12:
             stop = "stall"
             break
+        x, act = cand, c_act
+        grad, g_m, gnorm = c_grad, c_gm, c_norm
+        history.append(act)
+        it += 1
         eta *= 1.2
-        if it % 8 == 0:
-            _, p_x, mids_x = _segment_solve(x, op)
-            gnorm = grad_sup(m_gradient(_path_gradient(x, op, p_x, mids_x)))
-            if gnorm <= config.grad_tol * (1.0 + abs(act)):
-                stop = "converged"
-                break
-    if stop != "converged":
-        _, final_p, final_mids = _segment_solve(x, op)
-        gnorm = grad_sup(m_gradient(_path_gradient(x, op, final_p, final_mids)))
-        if gnorm <= config.grad_tol * (1.0 + abs(act)):
-            stop = "converged"
     warn = [] if stop == "converged" else [stop]
     if x[1:-1].size and x[1:-1].min() <= 10.0 * config.positivity_floor:
         warn.append("boundary")
@@ -658,4 +630,5 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
         stop_reason=stop,
         action_history=history,
         warnings=tuple(warn),
+        segment_solves=solves,
     )

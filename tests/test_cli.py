@@ -437,6 +437,7 @@ class TestMetricCommand:
         diag = json.loads((tmp_path / "o2" / "metric.json").read_text())["diagnostics"]
         assert diag["stop_reason"] == "max_iters" and diag["converged"] is False
         assert diag["iterations"] == 3 and "max_iters" in diag["warnings"]
+        assert diag["segment_solves"] >= 4   # the start and one per accepted step
 
     def test_mismatched_weights_rejected(self, tmp_path):
         pa, _ = self._endpoints(tmp_path, same=False)
@@ -499,6 +500,14 @@ class TestTalagrandCommand:
         assert run(["talagrand", "--config", "configs/talagrand.yaml",
                     "--nu-inf", 2.0, "--nu-sup", 0.5,
                     "--out", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_no_samples_is_usage_error(self, tmp_path, samples):
+        # an empty sample list would otherwise report all_passed on no test
+        assert run(["talagrand", "--config", "configs/talagrand.yaml",
+                    "--nu-inf", 0.5, "--nu-sup", 2.0, "--samples", samples,
+                    "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out" / "talagrand.json").exists()
 
     def test_small_run_passes(self, tmp_path):
         code = run(["talagrand", "--config", "configs/talagrand.yaml",

@@ -65,6 +65,23 @@ class TestAgainstDenseOracle:
         _close(op.tau(rho.rho), dense_oracle.tau(rho.rho, spec.phi), rel=1e-15)
 
 
+@pytest.mark.parametrize("ties", [False, True])
+def test_apply_stacks_over_leading_axes(ties):
+    # a (K, n) stack of densities and pressures, as the geodesic descent
+    # applies L at every interior knot in one call
+    spec, _ = _instance(30, 7, ties)
+    rng = np.random.default_rng(7)
+    rhos = np.stack([g.Density.normalized(np.exp(rng.uniform(-2, 2, 30)), spec.weights).rho
+                     for _ in range(5)])
+    ps = rng.normal(size=(5, 30))
+    op = MobilityOperator(spec.phi, spec.m)
+    stacked = op.apply(rhos, ps)
+    assert stacked.shape == (5, 30)
+    for r, p, row in zip(rhos, ps, stacked):
+        np.testing.assert_array_equal(row, op.apply(r, p))
+        _close(row, dense_oracle.matvec(r, spec.phi, spec.m, p))
+
+
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_phibar_ties_in_adjusted_key(sign):
     # vertices 0-2 share phi and rho, so phi + sign beta log rho ties there
