@@ -12,17 +12,19 @@ where Kantorovich-Rubinstein duality gives it in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import WeightSequence, estimate_tail_cutoff, min_weight_prefix
+from .graph import WeightSequence
 from .metric import GeodesicConfig, GeodesicResult, geodesic_distance
-from .simplex import Density, _exp_safe, l2m_norm_sq, relative_entropy
+from .simplex import Density, _class_constants, relative_entropy
 
 SQRT2 = math.sqrt(2.0)
 TALAGRAND_SLACK = 1e-9
 W1_BOUND_SLACK = 1e-6
+# Largest fraction of the room to the class bounds a sampled member uses.
+SAMPLE_SPREAD = 0.9
 
 GROUND_METRIC_NOTE = "unit distance between all distinct vertex pairs"
 
@@ -47,9 +49,15 @@ class TalagrandClass:
 class TalagrandConstants:
     """Constructive constants of the transport-entropy inequality.
 
-    ``kappa = 2 T (1 + 2 (class_upper/class_lower)^2)`` by construction.
-    Like the invariant-set constants, these are doubly exponential in the
-    reciprocal prefix weight and may round to 0 / inf in float64.
+    The class bounds, mixing rate, cutoff, prefix weight and norm bound are
+    the invariant-set constants (:class:`graphfp.simplex.ConstantsReport`)
+    of the flow with beta = 1 and phi = -log mu, started anywhere in the
+    class: ``class_lower``/``class_upper`` are its ``lower_bound`` and
+    ``upper_bound`` and ``mixing_rate`` its ``decay_rate``. On top of them
+    ``kappa = 2 T (1 + 2 (class_upper/class_lower)^2)`` with the mixing time
+    ``T = log(4 condition_ratio) / mixing_rate``. Like the invariant-set
+    constants, these are doubly exponential in the reciprocal prefix weight
+    and may round to 0 / inf in float64.
     """
 
     class_lower: float      # uniform-in-time lower density bound (C3 role)
@@ -63,64 +71,39 @@ class TalagrandConstants:
     norm_bound: float
 
     def as_dict(self) -> dict:
-        return {
-            "class_lower": self.class_lower,
-            "class_upper": self.class_upper,
-            "condition_ratio": self.condition_ratio,
-            "mixing_rate": self.mixing_rate,
-            "mixing_time": self.mixing_time,
-            "kappa": self.kappa,
-            "tail_cutoff": self.tail_cutoff,
-            "min_prefix_weight": self.min_prefix_weight,
-            "norm_bound": self.norm_bound,
-        }
+        return asdict(self)
 
 
-def talagrand_constants(mu: Density, cls: TalagrandClass, delta: float = 0.5) -> TalagrandConstants:
+def talagrand_constants(mu: Density, cls: TalagrandClass) -> TalagrandConstants:
     """Constants for the class around the reference density ``mu``.
 
     The diffusion constant is normalized to one and the potential is tied
-    to the reference by phi_i = -log mu_i, making mu the stationary state.
-    The constants depend only on (class bounds, mu, weights); every member
-    of the class yields the same values bitwise.
+    to the reference by phi_i = -log mu_i, making mu the stationary state;
+    the class range [nu_inf, nu_sup] takes the place of the start density's
+    range in the invariant-set constants. ``mu`` itself is passed as the
+    stationary state, since the Gibbs state of -log mu need not equal mu
+    bitwise. The constants depend only on (class bounds, mu, weights);
+    every member of the class yields the same values bitwise.
     """
     mu.require_interior("transport-entropy constants")
-    weights = mu.weights
-    phi = -np.log(mu.rho)
-    phin = float(np.abs(phi).max())
-    sup_mu, inf_mu = mu.sup, mu.inf
+    phi_sup = float(np.abs(np.log(mu.rho)).max())
+    base = _class_constants(mu, cls.nu_inf, cls.nu_sup, phi_sup, 1.0)
+    lower, upper, rate = base.lower_bound, base.upper_bound, base.decay_rate
 
-    norm_bound = (
-        4.0 * (sup_mu / inf_mu) * cls.nu_sup**2
-        + 4.0 * sup_mu
-        + 2.0 * l2m_norm_sq(mu.rho, weights)
-    )
-    n0 = estimate_tail_cutoff(weights, norm_bound, delta)
-    mw = min_weight_prefix(weights, n0)
-
-    c3 = min(
-        0.5 * cls.nu_inf,
-        0.25 * _exp_safe(-4.0 * phin / mw),
-        mw / (4.0 * (2.0 * phin + 1.0)),
-    )
-    exp_term = _exp_safe(2.0 * phin / (c3 * mw)) / (2.0 * mw) if c3 > 0.0 else math.inf
-    c4 = max(2.0 * cls.nu_sup, exp_term, (2.0 * phin + 2.0) / mw, 2.0 / mw)
-
-    c5 = sup_mu / inf_mu
-    c6 = (c3 / c4) * (inf_mu / sup_mu) if math.isfinite(c4) and c3 > 0.0 else 0.0
-    big_t = math.log(4.0 * c5) / c6 if c6 > 0.0 else math.inf
-    ratio = c4 / c3 if c3 > 0.0 else math.inf
+    condition = mu.sup / mu.inf
+    big_t = math.log(4.0 * condition) / rate if rate > 0.0 else math.inf
+    ratio = upper / lower if lower > 0.0 else math.inf
     kappa = 2.0 * big_t * (1.0 + 2.0 * ratio * ratio)
     return TalagrandConstants(
-        class_lower=float(c3),
-        class_upper=float(c4),
-        condition_ratio=float(c5),
-        mixing_rate=float(c6),
-        mixing_time=float(big_t),
-        kappa=float(kappa),
-        tail_cutoff=n0,
-        min_prefix_weight=mw,
-        norm_bound=float(norm_bound),
+        class_lower=lower,
+        class_upper=upper,
+        condition_ratio=condition,
+        mixing_rate=rate,
+        mixing_time=big_t,
+        kappa=kappa,
+        tail_cutoff=base.tail_cutoff,
+        min_prefix_weight=base.min_prefix_weight,
+        norm_bound=base.norm_bound,
     )
 
 
@@ -188,7 +171,7 @@ def verify_talagrand(mu: Density, nu: Density, cls: TalagrandClass,
 
 
 def sample_in_class(rng: np.random.Generator, weights: WeightSequence,
-                    cls: TalagrandClass, spread: float = 0.9) -> Density:
+                    cls: TalagrandClass) -> Density:
     """Random class member: a mean-free direction added to the uniform
     density, scaled to stay strictly inside the class bounds."""
     if not (cls.nu_inf <= 1.0 <= cls.nu_sup):
@@ -205,7 +188,7 @@ def sample_in_class(rng: np.random.Generator, weights: WeightSequence,
             scale = min(scale, (cls.nu_inf - 1.0) / di)
     if not math.isfinite(scale):
         scale = 0.0
-    a = rng.uniform(0.2, spread) * scale
+    a = rng.uniform(0.2, SAMPLE_SPREAD) * scale
     return Density(1.0 + a * d, weights)
 
 

@@ -22,6 +22,8 @@ from .errors import ConvergenceError
 from .simplex import Density, TangentVector, l2m_norm_sq
 
 INVERT_RTOL = 1e-10
+# Eigenvalues below this fraction of the largest count as kernel.
+KERNEL_RTOL = 1e-10
 
 # Relative spread below which the logarithmic mean switches to its series.
 _LOG_MEAN_SWITCH = 1e-8
@@ -173,17 +175,6 @@ class MobilityOperator:
             out += self._tie_scatter(self._ms[b] * flux, -self._ms[a] * flux)
         return self._unsort(out)
 
-    def wdeg(self, rho):
-        """Weighted degree sum_j m_j tau_ij, the diagonal of L(rho)."""
-        rs = rho[self.order]
-        mr = self._ms * rs
-        out = rs * self._low_m + _suffix(mr)[self._hi] + mr
-        if self.has_ties:
-            a, b = self._pairs
-            lm = log_mean(rs[a], rs[b])
-            out += self._tie_scatter(self._ms[b] * lm, self._ms[a] * lm)
-        return self._unsort(out)
-
     def upwind(self, rho, u):
         """sum over j outside the tie group of i of m_j tau_ij (u_i - u_j)."""
         o = self.order
@@ -323,9 +314,10 @@ def l2m_dot(m, x, y) -> float:
     return float(np.dot(m, x * y))
 
 
-def invert_mobility(rho: Density, phi, sigma: TangentVector, rtol: float = INVERT_RTOL) -> np.ndarray:
+def invert_mobility(rho: Density, phi, sigma: TangentVector) -> np.ndarray:
     """Unique mean-free p with apply_mobility(rho, phi, p) = sigma; the
-    relative residual in the m-weighted norm is checked against ``rtol``.
+    relative residual in the m-weighted norm is checked against
+    ``INVERT_RTOL``.
 
     ``phi`` is the potential, or a :class:`MobilityOperator` already built
     from it and the weights of ``rho``, so that callers inverting at many
@@ -339,9 +331,9 @@ def invert_mobility(rho: Density, phi, sigma: TangentVector, rtol: float = INVER
     op = phi if isinstance(phi, MobilityOperator) else MobilityOperator(phi, m)
     p = op.solve(rho.rho, s)
     res = op.apply(rho.rho, p) - s
-    if not math.sqrt(l2m_dot(m, res, res)) <= rtol * math.sqrt(l2m_dot(m, s, s)):
+    if not math.sqrt(l2m_dot(m, res, res)) <= INVERT_RTOL * math.sqrt(l2m_dot(m, s, s)):
         raise ConvergenceError(
-            f"mobility inversion residual above {rtol:.1e} (inf rho = {rho.inf:.3e})")
+            f"mobility inversion residual above {INVERT_RTOL:.1e} (inf rho = {rho.inf:.3e})")
     return p
 
 
@@ -396,7 +388,7 @@ def norm_equivalence_check(rho: Density, phi, sigma: TangentVector) -> NormEquiv
     )
 
 
-def kernel_dimension_check(rho: Density, phi, rel_tol: float = 1e-10) -> int:
+def kernel_dimension_check(rho: Density, phi) -> int:
     """Number of near-zero eigenvalues of the mobility Laplacian (weighted
     inner product); exactly one -- the constants direction -- is expected."""
     rho.require_interior("kernel check")
@@ -406,12 +398,13 @@ def kernel_dimension_check(rho: Density, phi, rel_tol: float = 1e-10) -> int:
     m = rho.weights.m
     op = MobilityOperator(phi, m)
     sq = np.sqrt(m)
-    sym = np.diag(op.wdeg(rho.rho)) - op.tau(rho.rho) * (sq[:, None] * sq[None, :])
+    tau = op.tau(rho.rho)
+    sym = np.diag(tau @ m) - tau * (sq[:, None] * sq[None, :])
     evals = np.linalg.eigvalsh(sym)
     top = float(np.abs(evals).max())
     if not math.isfinite(top) or top == 0.0:
         raise ConvergenceError("degenerate spectrum in kernel check")
-    return int(np.sum(np.abs(evals) < rel_tol * top))
+    return int(np.sum(np.abs(evals) < KERNEL_RTOL * top))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +533,9 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     slice. Near ``grad_tol`` the Armijo decrease falls below half an ulp of
     the action, so a step that leaves the action unchanged must lower the
     gradient norm instead. The step length halves on every rejected trial
-    and grows by 1.2 after every accepted step.
+    and grows by 1.2 after every accepted step. Once the step is below the
+    rounding of the path, the trials repeat one path; a trial equal to the
+    last one solved reuses that solve.
 
     The call stops ``converged`` once the largest per-knot m-weighted norm
     of g_m is at most ``grad_tol`` (1 + action), ``stall`` when 60 halvings
@@ -584,6 +579,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     stop = "converged"
     it = 0
     eta = 1.0
+    solved = None
     while gnorm > config.grad_tol * (1.0 + abs(act)):
         if it == config.max_iters:
             stop = "max_iters"
@@ -602,8 +598,10 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
                     or (cand[1:-1] < 0.5 * x[1:-1]).any()):
                 eta *= 0.5
                 continue
-            c_act, P, mids = _segment_solve(cand, op)
-            solves += 1
+            if not np.array_equal(cand, solved):
+                c_act, P, mids = _segment_solve(cand, op)
+                solves += 1
+                solved = cand
             if c_act <= act - 1e-4 * eta * desc:
                 c_grad, c_gm, c_norm = gradient(cand, P, mids)
                 if c_act < act or c_norm < gnorm:

@@ -6,7 +6,7 @@ the explicit invariant-set constants.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, asdict, dataclass
 
 import numpy as np
 
@@ -14,6 +14,8 @@ from .graph import GraphSpec, WeightSequence, estimate_tail_cutoff, min_weight_p
 
 DENSITY_MASS_TOL = 1e-12
 TANGENT_MEAN_TOL = 1e-12
+# Tail-mass level of the cutoff estimate behind the explicit constants.
+TAIL_DELTA = 0.5
 
 
 def _exp_safe(x: float) -> float:
@@ -190,59 +192,43 @@ class ConstantsReport:
     """
 
     norm_bound: float           # C0-type uniform bound on the squared l2_m norm
-    tail_cutoff: int            # prefix length carrying mass >= 1 - delta
+    tail_cutoff: int            # prefix length carrying mass >= 1 - TAIL_DELTA
     min_prefix_weight: float    # min weight within the cutoff prefix
     lower_bound: float
     upper_bound: float
     decay_rate: float
 
     def as_dict(self) -> dict:
-        return {
-            "norm_bound": self.norm_bound,
-            "tail_cutoff": self.tail_cutoff,
-            "min_prefix_weight": self.min_prefix_weight,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "decay_rate": self.decay_rate,
-        }
+        return asdict(self)
 
 
-def invariant_constants(rho0: Density, spec: GraphSpec, delta: float = 0.5) -> ConstantsReport:
-    """Invariant-set bounds and decay rate for the flow started at ``rho0``.
-
-    ``delta`` is the tail-mass level used for the cutoff estimate; 1/2 is
-    the canonical choice and the default.
-    """
-    if spec.beta <= 0.0:
-        raise ValueError("invariant constants require beta > 0")
-    rho0.require_interior("invariant constants")
-    star = gibbs(spec)
+def _class_constants(star: Density, lower: float, upper: float,
+                     phi_sup: float, beta: float) -> ConstantsReport:
+    """Invariant-set bounds and decay rate of the flow with stationary state
+    ``star``, potential sup-norm ``phi_sup`` and diffusion ``beta``, for
+    every start density with range inside [``lower``, ``upper``]."""
     sup_s, inf_s = star.sup, star.inf
-    sup_0, inf_0 = rho0.sup, rho0.inf
-
     norm_bound = (
-        4.0 * (sup_s / inf_s) * sup_0**2
+        4.0 * (sup_s / inf_s) * upper**2
         + 4.0 * sup_s
-        + 2.0 * l2m_norm_sq(star.rho, spec.weights)
+        + 2.0 * l2m_norm_sq(star.rho, star.weights)
     )
-    n0 = estimate_tail_cutoff(spec.weights, norm_bound, delta)
-    mw = min_weight_prefix(spec.weights, n0)
+    n0 = estimate_tail_cutoff(star.weights, norm_bound, TAIL_DELTA)
+    mw = min_weight_prefix(star.weights, n0)
 
-    phin = spec.phi_sup
-    beta = spec.beta
     c1 = min(
-        0.5 * inf_0,
-        0.25 * _exp_safe(-4.0 * phin / (mw * beta)),
-        beta * mw / (4.0 * (2.0 * phin + beta)),
+        0.5 * lower,
+        0.25 * _exp_safe(-4.0 * phi_sup / (mw * beta)),
+        beta * mw / (4.0 * (2.0 * phi_sup + beta)),
     )
     if c1 > 0.0:
-        exp_term = _exp_safe(2.0 * phin / (beta * c1 * mw)) / (2.0 * mw)
+        exp_term = _exp_safe(2.0 * phi_sup / (beta * c1 * mw)) / (2.0 * mw)
     else:
         exp_term = math.inf
     c2 = max(
-        2.0 * sup_0,
+        2.0 * upper,
         exp_term,
-        (2.0 * phin + 2.0 * beta) / (beta * mw),
+        (2.0 * phi_sup + 2.0 * beta) / (beta * mw),
         2.0 / mw,
     )
     rate = beta * (c1 / c2) * (inf_s / sup_s) if math.isfinite(c2) else 0.0
@@ -254,3 +240,11 @@ def invariant_constants(rho0: Density, spec: GraphSpec, delta: float = 0.5) -> C
         upper_bound=float(c2),
         decay_rate=float(rate),
     )
+
+
+def invariant_constants(rho0: Density, spec: GraphSpec) -> ConstantsReport:
+    """Invariant-set bounds and decay rate for the flow started at ``rho0``."""
+    if spec.beta <= 0.0:
+        raise ValueError("invariant constants require beta > 0")
+    rho0.require_interior("invariant constants")
+    return _class_constants(gibbs(spec), rho0.inf, rho0.sup, spec.phi_sup, spec.beta)

@@ -40,10 +40,6 @@ def metric_inner_pairform(rho, phi, sigma1, sigma2):
     return float(np.dot(a.sum(axis=1), p1 * p2) - p1 @ a @ p2)
 
 
-def wdeg(rho, phi, m):
-    return tau(rho, phi) @ m
-
-
 def matvec(rho, phi, m, p):
     """(L p)_i = sum_j m_j tau_ij (p_i - p_j)."""
     t = tau(rho, phi)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import graphfp as g
+import talagrand_reference
 from helpers import explicit_weights, half_weights, random_interior
 
 
@@ -140,6 +141,40 @@ class TestTalagrandConstants:
         a = g.talagrand_constants(mu, cls)
         b = g.talagrand_constants(mu, cls)
         assert a == b
+
+
+def _parity_instance(seed):
+    """(mu, cls) over explicit and geometric weights, density spreads from
+    e^+-0.01 to e^+-3 and class ranges on both sides of one."""
+    rng = np.random.default_rng([11, seed])
+    if seed % 2:
+        n = int(rng.choice([2, 3, 5, 8, 20, 60]))
+        w = explicit_weights(n, seed=seed)
+    else:
+        n = int(rng.choice([30, 60]))
+        w = g.build_weights(g.WeightFamily.geometric(rng.uniform(0.3, 0.7)), n)
+    spread = math.exp(rng.uniform(math.log(0.01), math.log(3.0)))
+    mu = g.Density.normalized(np.exp(rng.uniform(-spread, spread, n)), w)
+    return mu, g.TalagrandClass(nu_inf=rng.uniform(0.05, 0.95), nu_sup=rng.uniform(1.05, 4.0))
+
+
+def test_constants_match_reference_formula():
+    finite_kappa = positive_rate = compared = 0
+    for seed in range(320):
+        mu, cls = _parity_instance(seed)
+        try:
+            expect = talagrand_reference.talagrand_constants(mu, cls)
+        except g.TruncationError:
+            with pytest.raises(g.TruncationError):
+                g.talagrand_constants(mu, cls)
+            continue
+        assert g.talagrand_constants(mu, cls) == expect, seed
+        compared += 1
+        finite_kappa += math.isfinite(expect.kappa)
+        positive_rate += expect.mixing_rate > 0.0
+    # enough instances, and finite values among them, not only 0 / inf
+    assert compared >= 300 and finite_kappa >= 10 and positive_rate >= 10, \
+        (compared, finite_kappa, positive_rate)
 
 
 class TestVerifyTalagrand:

@@ -206,8 +206,6 @@ class TestInvertMobility:
         op = metric.MobilityOperator(phi, w.m)
         np.testing.assert_allclose(op.apply(rho.rho, p),
                                    dense_oracle.matvec(rho.rho, phi, w.m, p), atol=1e-13)
-        np.testing.assert_allclose(op.wdeg(rho.rho), dense_oracle.wdeg(rho.rho, phi, w.m),
-                                   atol=1e-14)
 
 
 class TestMetricInner:
@@ -545,6 +543,42 @@ class TestPreconditionedDescent:
         assert len(res.action_history) == res.iterations + 1
         assert res.segment_solves == len(calls) == res.as_dict()["segment_solves"]
         assert res.segment_solves > res.iterations
+
+    def test_stalled_search_reuses_the_repeated_trial(self, monkeypatch):
+        # a wide-ratio pair that stalls: once eta * d is below the rounding
+        # of the path every trial is the current path again, and re-solving
+        # it would spend the last of the 60 halvings for nothing
+        w = explicit_weights(12, seed=52)
+        rng = np.random.default_rng(12002)
+        phi = rng.uniform(-1, 1, 12)
+        a = g.Density.normalized(np.exp(rng.uniform(-4, 4, 12)), w)
+        b = g.Density.normalized(np.exp(rng.uniform(-4, 4, 12)), w)
+        paths = []
+        solve = metric._segment_solve
+        monkeypatch.setattr(metric, "_segment_solve",
+                            lambda path, op: paths.append(path.copy()) or solve(path, op))
+        res = g.geodesic_distance(a, b, phi)
+        assert res.stop_reason == "stall"
+        final = np.array([rho.rho for rho in res.path])
+        accepted = min(k for k, path in enumerate(paths) if np.array_equal(path, final))
+        assert len(paths) - 1 - accepted < 60
+
+        class SolveEveryTrial:
+            """numpy for the metric module, except that no two paths compare
+            equal, so every trial is solved anew."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def array_equal(x, y):
+                return False
+
+        monkeypatch.setattr(metric, "np", SolveEveryTrial())
+        full = g.geodesic_distance(a, b, phi)
+        assert full.segment_solves > res.segment_solves
+        for name in ("action", "iterations", "grad_norm", "stop_reason", "action_history"):
+            assert getattr(res, name) == getattr(full, name), name
 
     def test_fallback_when_the_metric_step_does_not_descend(self, monkeypatch):
         # a mobility product of the wrong sign never descends, so every step
