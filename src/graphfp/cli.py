@@ -16,10 +16,10 @@ import json
 import os
 import sys
 
-# The commands call BLAS only on vectors and small tie-group blocks, where a
-# thread pool gains nothing while its start-up and spinning workers cost CPU
-# time in every short process. Set before numpy loads; a value the user set
-# wins.
+# The commands call BLAS only on vectors and on the small Q x Q systems of
+# the tie-group quadrature, where a thread pool gains nothing while its
+# start-up and spinning workers cost CPU time in every short process. Set
+# before numpy loads; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -273,24 +273,25 @@ def cmd_sweep(args, cfg) -> int:
     if not combos:
         raise ConfigError("sweep grid is empty")
 
+    # every grid point is built before any runs, so a config mistake exits 2
+    points = []
+    for combo in combos:
+        tree = {**cfg.resolved(), "sweep": {}}
+        for key, val in zip(keys, combo):
+            _set_dotted(tree, key, val)
+        points.append(ExperimentConfig.load(values=tree))
+
     rows = []
-    for idx, combo in enumerate(combos):
-        row = {"index": idx, **{k: combo[i] for i, k in enumerate(keys)}}
+    for idx, (combo, point) in enumerate(zip(combos, points)):
+        row = {"index": idx, **dict(zip(keys, combo)),
+               "fitted_rate": None, "theory_rate": None, "monitor_pass": False}
         try:
-            tree = {**cfg.resolved(), "sweep": {}}
-            for key, val in zip(keys, combo):
-                _set_dotted(tree, key, val)
-            point = ExperimentConfig.load(values=tree)
-            _, traj, constants, report, fitted = _run_simulation(point)
-            row.update({
-                "fitted_rate": fitted,
-                "theory_rate": constants.decay_rate if constants is not None else None,
-                "monitor_pass": report.all_passed,
-                "status": "ok",
-            })
-        except Exception as exc:  # recorded per row, run continues
-            row.update({"fitted_rate": None, "theory_rate": None,
-                        "monitor_pass": False, "status": f"error: {exc}"})
+            _, _, constants, report, fitted = _run_simulation(point)
+            row.update(fitted_rate=fitted, monitor_pass=report.all_passed, status="ok",
+                       theory_rate=constants.decay_rate if constants is not None else None)
+        except (StiffnessError, ConvergenceError, InvariantBreachError,
+                InsufficientDataError, TruncationError) as exc:   # recorded, the run continues
+            row["status"] = f"error: {exc}"
         rows.append(row)
 
     out = _outdir(cfg)

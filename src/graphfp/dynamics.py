@@ -68,6 +68,8 @@ def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0):
     The potential-ordered kinds are -L(rho) u with u = phi + beta log rho
     (u = phi at beta = 0), through one sorted-order mobility operator built
     here; phibar re-sorts by its adjusted potential on every evaluation.
+    The master equation is fpe on a constant potential: one tie group, where
+    -L(rho) u = beta (sum_j m_j rho_j - rho_i sum_j m_j).
     """
     m = spec.m
     phi = spec.phi
@@ -78,13 +80,7 @@ def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0):
             raise ValueError("master equation requires beta > 0")
         if float(np.ptp(phi)) != 0.0:
             raise ValueError("master equation requires a constant potential")
-
-        def rhs(y):
-            return beta * (float(np.dot(m, y)) - y)
-
-        return rhs
-
-    if kind == "phibar":
+    elif kind == "phibar":
         if beta <= 0.0:
             raise ValueError("entropy-adjusted ordering requires beta > 0")
 
@@ -96,7 +92,7 @@ def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0):
 
     if kind == "beta_zero" and beta != 0.0:
         raise ValueError("zero-diffusion system requires beta = 0")
-    if kind not in ("fpe", "beta_zero"):
+    if kind not in KINDS:
         raise ValueError(f"unknown rhs kind {kind!r}; expected one of {KINDS}")
     op = MobilityOperator(phi, m)
     return lambda y: op.flow(y, beta)
@@ -129,6 +125,7 @@ def zero_diffusion_rhs(rho: Density, spec: GraphSpec) -> TangentVector:
 
 def master_equation_rhs(rho: Density, spec: GraphSpec) -> TangentVector:
     """Linear relaxation beta * sum_j m_j (rho_j - rho_i) for constant potentials."""
+    _require_interior_for(spec, rho)
     return TangentVector(_rhs_closure("master", spec)(rho.rho), rho.weights)
 
 

@@ -232,7 +232,8 @@ def estimate_tail_cutoff(weights: WeightSequence, norm_bound: float, delta: floa
     suffix = np.concatenate([np.cumsum(m[::-1])[::-1], [0.0]])
     for n in range(1, weights.truncation_N + 1):
         tail = suffix[n] + weights.raw_tail_mass
-        if math.sqrt(max(tail, 0.0)) * norm_bound < delta:
+        # an empty tail admits any bound, an infinite one included
+        if tail <= 0.0 or math.sqrt(tail) * norm_bound < delta:
             return n
     raise TruncationError(
         f"no admissible cutoff within N={weights.truncation_N}: even the full "

@@ -3,16 +3,18 @@
 The tangent identification works through pairwise mobility coefficients:
 the upwind density on potential-ordered pairs and the logarithmic mean on
 potential ties. They define the mobility Laplacian L(rho), applied in
-potential-sorted order by prefix sums (:class:`MobilityOperator`); its
-inverse gives the metric tensor. Geodesic distances are estimated by
-minimizing a midpoint-rule path action by projected steepest descent in
-the metric: the m-gradient is preconditioned by the inverse discrete time
-Laplacian of the path, applied in closed form, and then mapped by L(rho)
-at every knot.
+potential-sorted order by prefix sums and, on ties, by group sums under a
+Gauss-Legendre rule for the log mean (:class:`MobilityOperator`); its
+inverse, by a recurrence over the sorted groups, gives the metric tensor.
+Geodesic distances are estimated by minimizing a midpoint-rule path action
+by projected steepest descent in the metric: the m-gradient is
+preconditioned by the inverse discrete time Laplacian of the path, applied
+in closed form, and then mapped by L(rho) at every knot.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +29,8 @@ KERNEL_RTOL = 1e-10
 
 # Relative spread below which the logarithmic mean switches to its series.
 _LOG_MEAN_SWITCH = 1e-8
-# |d| below which its partial derivative switches to its series.
-_PARTIAL_SWITCH = 1e-2
+# Relative error bound of the Gauss-Legendre rule on tie groups: half an ulp.
+_RULE_TOL = 2.0 ** -53
 
 
 def _log_ratio(a, b):
@@ -57,25 +59,50 @@ def log_mean(a, b):
     return np.where(near, series, direct)
 
 
-def _log_mean_partial(a, b):
-    """Partial derivative of log_mean(a, b) with respect to a.
+@functools.cache
+def _gauss_legendre(q):
+    """Nodes t and weights w of the q-point Gauss-Legendre rule on [0, 1].
 
-    The direct form (l - (a - b)/a) / l^2 with l = log(a / b) subtracts two
-    terms of order d and loses about eps/|d| relative, so for |d| up to
-    1e-2 the series takes over: log_mean = s f(d) with
-    f(d) = d / atanh(d) = 1 - d^2/3 - 4 d^4/45 - 44 d^6/945 - 428 d^8/14175,
-    and the partial is (f(d) + (1 - d) f'(d)) / 2.
+    The nodes are the roots x of the Legendre polynomial P_q, by five
+    Newton steps from cos(pi (k + 3/4) / (q + 1/2)), with P_q and P_q' from
+    the three-term recurrence (the fifth step moves no node of any q up to
+    600 by more than 1.2e-16); the weights are 1 / ((1 - x^2) P_q'(x)^2), half those on [-1, 1].
+    Both are symmetrized: t reversed is 1 - t to rounding and w reversed is
+    w, so r^(1-t) is r^t with the nodes reversed. The starting cosines are
+    taken in single precision, where numpy has its own cos: the float64 one
+    calls libm, whose cos pages add 0.1 MB to every process that builds a
+    rule.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lr = _log_ratio(a, b)
-        direct = (lr - (a - b) / a) / (lr * lr)
-    d = (a - b) / (a + b)
-    d2 = d * d
-    f = 1.0 - d2 * (1.0 / 3.0 + d2 * (4.0 / 45.0 + d2 * (44.0 / 945.0 + d2 * 428.0 / 14175.0)))
-    df = -d * (2.0 / 3.0 + d2 * (16.0 / 45.0 + d2 * (88.0 / 315.0 + d2 * 3424.0 / 14175.0)))
-    return np.where(np.abs(d) <= _PARTIAL_SWITCH, 0.5 * (f + (1.0 - d) * df), direct)
+    x = np.cos((np.pi * (np.arange(q) + 0.75) / (q + 0.5)).astype(np.float32)).astype(float)
+    for _ in range(5):
+        p0, p1 = 1.0, x
+        for k in range(2, q + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = q * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    w = 1.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 - 0.25 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+@functools.cache
+def _rule_spreads():
+    """Entry Q - 1: the widest spread c = log(max / min) of the densities in
+    one tie group that the Q-point rule covers, for Q = 1 .. 600.
+
+    With K_Q = (Q!)^4 / ((2Q + 1) ((2Q)!)^3), the rule's relative error is
+    at most K_Q c^(2Q) (1 + c) on the log mean and
+    K_Q c^(2Q - 1) (c + 2Q) 2 (1 + c)^2 on its partial in the first
+    argument. c_Q is where the second, larger bound reaches ``_RULE_TOL``;
+    twelve fixed-point steps on log c find it to about 1e-10 relative.
+    c_600 exceeds the spread of any two positive doubles.
+    """
+    q = np.arange(1.0, 601.0)
+    log_fact = np.cumsum(np.log(np.arange(1.0, 1201.0)))             # log k!, k = 1 .. 1200
+    rhs = math.log(_RULE_TOL) - 4.0 * log_fact[:600] + np.log(2.0 * q + 1.0) + 3.0 * log_fact[1::2]
+    c = np.ones(600)
+    for _ in range(12):
+        c = np.exp((rhs - np.log(2.0 * (c + 2.0 * q)) - 2.0 * np.log1p(c)) / (2.0 * q - 1.0))
+    return c
 
 
 def _prefix(x):
@@ -101,9 +128,12 @@ class MobilityOperator:
     logarithmic mean of the two densities on potential ties. With the
     vertices stably sorted by potential, the strictly lower vertices of i
     contribute rho_i sum m_j (p_i - p_j) and the strictly higher ones
-    sum m_j rho_j (p_i - p_j): prefix and suffix sums. Only pairs inside a
-    tie group are visited one by one. Building costs one sort; every
-    product is O(N) plus the tie pairs. Work is done in sorted order.
+    sum m_j rho_j (p_i - p_j): prefix and suffix sums. On a tie,
+    log_mean(a, b) = int_0^1 a^t b^(1-t) dt, taken by the Gauss-Legendre
+    rule (t_q, w_q) that the densities need (:func:`_rule_spreads`), so the
+    tie term of i is sum_q w_q rho_i^t_q times a group sum of
+    m_j rho_j^(1-t_q) (p_i - p_j). Building costs one sort; every product
+    is O(N Q). Work is done in sorted order.
     """
 
     def __init__(self, key, m):
@@ -118,25 +148,24 @@ class MobilityOperator:
         new[:1] = True
         np.not_equal(self._key[1:], self._key[:-1], out=new[1:])
         self.has_ties = not new.all()
+        self._one_group = n > 1 and not new[1:].any()   # a constant potential: no upwind pair
+        self._prefix_m = _prefix(self._ms)
+        self._group = np.cumsum(new) - 1              # tie group of each sorted position
         if self.has_ties:
             self._starts = np.flatnonzero(new)
-            self._group = np.cumsum(new) - 1          # tie group of each sorted position
+            self._group_m = np.add.reduceat(self._ms, self._starts)[self._group]
             ends = np.append(self._starts[1:], n)
             self._lo = self._starts[self._group]      # first position of the group
             self._hi = ends[self._group]              # one past its last position
-            count = self._hi - np.arange(n) - 1       # later positions in the group
-            a = np.repeat(np.arange(n), count)
-            offset = np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
-            self._pairs = (a, a + 1 + offset)         # sorted positions of every tie pair
-            size = ends - self._starts
-            # bincount, not np.unique: the same sizes in the same order,
-            # without loading numpy.ma
-            self._blocks = [self._starts[size == k][:, None] + np.arange(k)
-                            for k in np.flatnonzero(np.bincount(size)[2:]) + 2]
+            # the positions in groups of two or more, and where each group
+            # starts among them
+            self._tied = np.flatnonzero(self._hi - self._lo > 1)
+            self._tie_first = new[self._tied]
+            self._tie_starts = np.flatnonzero(self._tie_first)
+            self._tie_group = np.cumsum(self._tie_first) - 1
         else:
             self._lo = slice(0, n)
             self._hi = slice(1, n + 1)
-        self._prefix_m = _prefix(self._ms)
         self._low_m = self._prefix_m[self._lo]        # mass strictly below the group
 
     def _unsort(self, xs):
@@ -147,22 +176,50 @@ class MobilityOperator:
     def _upwind(self, rs, mr, us):
         """Sorted-order sum over j outside the tie group of i of
         m_j tau_ij (u_i - u_j), given rho and m rho in sorted order."""
+        if self._one_group:
+            return np.zeros(np.broadcast_shapes(rs.shape, us.shape))
         us = us - us[..., 0, None]   # L annihilates constants; smaller prefix sums lose less
         low = _prefix(self._ms * us)[..., self._lo]
         high = _suffix(mr * us)[..., self._hi]
         return rs * (us * self._low_m - low) + us * _suffix(mr)[..., self._hi] - high
 
-    def _tie_scatter(self, wa, wb):
-        """Per sorted position, the sum of ``wa`` over its tie pairs (a, .)
-        plus the sum of ``wb`` over its tie pairs (., b), stacked over the
-        leading axes of ``wa``: one bincount, each row offset by n."""
-        a, b = self._pairs
-        lead = wa.shape[:-1]
-        rows = math.prod(lead)
-        base = self.n * np.arange(rows)[:, None]
-        out = (np.bincount((base + a).ravel(), wa.ravel(), rows * self.n)
-               + np.bincount((base + b).ravel(), wb.ravel(), rows * self.n))
-        return out.reshape(lead + (self.n,))
+    def _sums(self, x):
+        """Sums of x over each tie group, along the last axis of tied positions."""
+        return np.add.reduceat(x, self._tie_starts, axis=-1)
+
+    def _by_rule(self, kernel, rs, *xs):
+        """kernel(w, t, E, mf, r, *x) on the tied positions of the sorted rs
+        and xs (of one shape), stacked over their leading axes.
+
+        r and x hold the rows that need one Gauss-Legendre rule (t, w),
+        flattened to (rows, s); E[:, q] = r^t_q and mf[:, q] = m r^(1-t_q).
+        Rows that need the same rule share one call, so a row gets the same
+        result alone as in any stack.
+        """
+        lead, ts = rs.shape[:-1], self._tie_starts
+        r, *xs = (x[..., self._tied].reshape(-1, self._tied.size) for x in (rs, *xs))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lr = np.log(r)
+            spread = (np.maximum.reduceat(lr, ts, -1) - np.minimum.reduceat(lr, ts, -1)).max(-1)
+        if not spread.max() <= _rule_spreads()[-1]:
+            raise ValueError("tied densities must be positive and finite")
+        size = np.searchsorted(_rule_spreads(), spread) + 1
+        out = None
+        for q in set(size.tolist()):
+            rows = slice(None) if size.size == 1 else np.flatnonzero(size == q)
+            t, w = _gauss_legendre(q)
+            E = np.exp(t[:, None] * lr[rows, None, :])
+            mf = self._ms[self._tied] * E[:, ::-1]
+            part = kernel(w, t, E, mf, r[rows], *(x[rows] for x in xs))
+            out = np.empty(r.shape[:1] + part.shape[1:]) if out is None else out
+            out[rows] = part
+        return out.reshape(lead + out.shape[1:])
+
+    def _tie_flux(self, w, t, E, mf, r, p):
+        """sum over the tie group of i of m_j log_mean(r_i, r_j) (p_i - p_j)."""
+        g = self._tie_group
+        d = (p - p[:, self._tie_starts][:, g])[:, None]   # differences within a group lose less
+        return (w[:, None] * E * (d * self._sums(mf)[..., g] - self._sums(mf * d)[..., g])).sum(-2)
 
     def apply(self, rho, p):
         """L(rho) p, stacked over the leading axes of rho and p."""
@@ -170,9 +227,7 @@ class MobilityOperator:
         rs, ps = rho[..., o], p[..., o]
         out = self._upwind(rs, self._ms * rs, ps)
         if self.has_ties:
-            a, b = self._pairs
-            flux = log_mean(rs[..., a], rs[..., b]) * (ps[..., a] - ps[..., b])
-            out += self._tie_scatter(self._ms[b] * flux, -self._ms[a] * flux)
+            out[..., self._tied] += self._by_rule(self._tie_flux, rs, ps)
         return self._unsort(out)
 
     def upwind(self, rho, u):
@@ -193,9 +248,7 @@ class MobilityOperator:
         us = self._key + beta * np.log(rs) if beta != 0.0 else self._key
         out = self._upwind(rs, mr, us)
         if beta != 0.0 and self.has_ties:
-            group = self._group
-            mass = np.add.reduceat(self._ms, self._starts)[group]
-            out += beta * (mass * rs - np.add.reduceat(mr, self._starts)[group])
+            out += beta * (self._group_m * rs - np.add.reduceat(mr, self._starts)[self._group])
         return -self._unsort(out)
 
     def solve(self, rho, sigma):
@@ -209,13 +262,10 @@ class MobilityOperator:
         D_g the sum of m p above g. Eliminating C_g between two consecutive
         cuts leaves y_g = D_g / S_g with increments delta_g = y_{g-1} - y_g
         that involve group g alone. So y is a suffix sum of delta, and
-        p = h_g - y_g on group g, with h_g from group g alone as well.
-
-        A group's pressure solves its block diag(rho S'_g + B_g) plus the
-        tie Laplacian, S'_g = S_{g-1}; groups of one size are solved as one
-        batch of small dense systems. A single vertex k needs no solve: with
-        W_k = rho_k S_k + B_k and v_k = sigma_k minus the m-mean of sigma
-        below k,
+        p = h_g - y_g on group g, with h_g from group g alone as well
+        (:meth:`_tie_block` on a tie group). A single vertex k needs no
+        solve: with W_k = rho_k S_k + B_k and v_k = sigma_k minus the m-mean
+        of sigma below k,
 
             delta_k = m_k v_k / (S_k W_k),   h_k = (S_{k-1} / S_k) v_k / W_k.
 
@@ -233,63 +283,57 @@ class MobilityOperator:
         delta = ms * v / (upto * w)
         h = (below / upto) * v / w
         if self.has_ties:
-            for pos in self._blocks:
-                self._solve_groups(pos, rs, high, v, h, delta)
+            tie = self._by_rule(self._tie_block, rs, high, v)
+            h[..., self._tied], delta[..., self._tied] = tie[..., 0, :], tie[..., 1, :]
         p = h - _suffix(delta)[..., hi]
         p = p - (p @ ms)[..., None]
         return self._unsort(p)
 
-    def _solve_groups(self, pos, rs, high, v, h, delta):
-        """Write h and delta (at each group's first position, zero at the
-        others) for the tie groups whose positions are the rows of ``pos``."""
-        mp = self._ms[pos]                                  # (G, s)
-        mass = mp.sum(axis=-1)
-        below, upto = self._low_m[pos[:, 0]], self._prefix_m[self._hi[pos[:, 0]]]
-        r = rs[..., pos]                                    # (..., G, s)
-        b_up = high[..., pos[:, 0]]                         # (..., G)
-        vg = v[..., pos]
-        vbar = (vg * mp).sum(axis=-1) / mass
-        lm = log_mean(r[..., :, None], r[..., None, :]) * mp[:, None, :]
-        diag = r * below[:, None] + b_up[..., None] + lm.sum(axis=-1)
-        mat = -lm
-        s = pos.shape[1]
-        idx = np.arange(s)
-        mat[..., idx, idx] += diag
-        if self.n == s:   # one group: no cut, pin the mean instead
-            mat += mp[:, None, :]
-        rhs = np.stack([vg - vbar[..., None], np.ones_like(r), r], axis=-1)
-        a, c, b = np.moveaxis(np.linalg.solve(mat, rhs), -1, 0)
-        beta = (mp * b).sum(axis=-1)
-        gamma = (mp * c).sum(axis=-1)
+    def _tie_block(self, w, t, E, mf, r, high, v):
+        """h, and delta at each group's first position (zero at the others),
+        on the tied positions, stacked as (rows, 2, s).
+
+        A group's pressure solves its block M = diag(r S'_g + B_g) plus the
+        tie Laplacian, S'_g = S_{g-1}, against three right-hand sides. Under
+        the rule, M = D - E^T diag(w) mf on each group, D diagonal, plus
+        1 m^T to pin the mean when one group holds every vertex: a diagonal
+        plus left^T diag(c) right of rank Q + 1, the pin's weight zero where
+        a cut bounds the group. By Woodbury, x = D^-1 (rhs - left^T z), where
+        z = diag(c) right x solves the system
+        (I + diag(c) right D^-1 left^T) z = diag(c) right D^-1 rhs; all
+        groups and rows go to one batched solve.
+        """
+        ts, g, mt = self._tie_starts, self._tie_group, self._ms[self._tied]
+        first = self._tied[ts]
+        below, upto, b_up = self._low_m[first], self._prefix_m[self._hi[first]], high[:, ts]
+        diag = (r * below[g] + high + (w[:, None] * E * self._sums(mf)[..., g]).sum(-2))[:, None]
+        # the last rank is the pin, with weight 1 only when no cut bounds the group
+        left = np.concatenate([E, np.ones_like(diag)], 1) / diag
+        right = np.concatenate([mf, mt * np.ones_like(diag)], 1)
+        c = np.append(-w, float(self._one_group))
+        vbar = self._sums(mt * v) / self._sums(mt)
+        y = np.array([v - vbar[:, g], np.ones_like(r), r]).swapaxes(0, 1) / diag
+        gram = self._sums(right[:, :, None] * left[:, None])       # (rows, Q + 1, Q + 1, G)
+        cap = np.eye(c.size)[..., None] + c[:, None, None] * gram
+        cz = c[:, None] * self._sums(right[:, None] * y[:, :, None])
+        z = np.linalg.solve(cap.transpose(0, 3, 1, 2), cz.transpose(0, 3, 2, 1))
+        a, cc, b = (y - (left[:, None] * z.transpose(0, 3, 2, 1)[..., g]).sum(2)).swapaxes(0, 1)
+        beta, gamma, ma = self._sums(mt * b), self._sums(mt * cc), self._sums(mt * a)
         # <m, a> / S'_g, through the identity m^T M = (m (rho S'_g + B_g))^T
         # whenever B_g dominates, where the direct quotient would cancel
         with np.errstate(divide="ignore", invalid="ignore"):
-            via_below = (mp * a).sum(axis=-1) / below
-            via_above = -(mp * r * a).sum(axis=-1) / b_up
-        lead = np.where(b_up > below, via_above, via_below)
+            lead = np.where(b_up > below, -self._sums(mt * r * a) / b_up, ma / below)
         dg = np.where(below > 0.0, (lead + vbar * gamma / upto) / (1.0 + beta), 0.0)
-        h[..., pos] = a + (vbar * below / upto)[..., None] * c - (below * dg)[..., None] * b
-        d = np.zeros_like(r)
-        d[..., 0] = dg
-        delta[..., pos] = d
+        h = a + (vbar * below / upto)[:, g] * cc - (below * dg)[:, g] * b
+        return np.array([h, dg[:, g] * self._tie_first]).swapaxes(0, 1)
 
     def tau(self, rho):
         """Dense mobility matrix tau_ij, stacked over the leading axes of rho."""
-        rank = self._unsort(self._group if self.has_ties else np.arange(self.n))
+        rank = self._unsort(self._group)
         rho = np.asarray(rho, dtype=float)
-        out = np.where(rank[:, None] > rank[None, :], rho[..., :, None], rho[..., None, :])
-        if self.has_ties:
-            i, j = self.tie_pairs
-            lm = log_mean(rho[..., i], rho[..., j])
-            out[..., i, j] = lm
-            out[..., j, i] = lm
-        return out
-
-    @property
-    def tie_pairs(self):
-        """(i, j) vertex index arrays of every unordered pair inside a tie group."""
-        a, b = self._pairs if self.has_ties else (np.empty(0, dtype=np.intp),) * 2
-        return self.order[a], self.order[b]
+        ri, rj = rho[..., :, None], rho[..., None, :]
+        return np.where(rank[:, None] > rank[None, :], ri,
+                        np.where(rank[:, None] < rank[None, :], rj, log_mean(ri, rj)))
 
     def below_sq(self, p):
         """sum over j strictly below i of m_j (p_i - p_j)^2, along the last axis."""
@@ -299,6 +343,22 @@ class MobilityOperator:
         s1 = _prefix(mp)[..., self._lo]
         s2 = _prefix(mp * ps)[..., self._lo]
         return self._unsort(ps * (ps * self._low_m - 2.0 * s1) + s2)
+
+    def tie_sq(self, rho, p):
+        """sum over j in the tie group of i of
+        m_j (d log_mean(rho_i, rho_j) / d rho_i) (p_i - p_j)^2, along the
+        last axis, for an operator with ties. The partial is
+        int_0^1 t rho_i^(t-1) rho_j^(1-t) dt, by the rule of the mean."""
+        o, out = self.order, np.zeros(p.shape)
+        out[..., self._tied] = self._by_rule(self._tie_partial, rho[..., o], p[..., o])
+        return self._unsort(out)
+
+    def _tie_partial(self, w, t, E, mf, r, p):
+        """:meth:`tie_sq` on the tied positions, under one rule."""
+        g = self._tie_group
+        d = (p - p[:, self._tie_starts][:, g])[:, None]
+        a, b, c = (self._sums(mf * d ** k)[..., g] for k in range(3))
+        return ((w * t)[:, None] * E * (d * (d * a - 2.0 * b) + c)).sum(-2) / r
 
 
 def apply_mobility(rho: Density, phi, p) -> TangentVector:
@@ -480,16 +540,15 @@ def _path_gradient(path, op: MobilityOperator, P, mids):
 
     G[k, l] = -m_l sum_j m_j (d tau_lj / d rho_l) (P_kl - P_kj)^2, where the
     derivative is 1 for j below l, 0 above it, and the log-mean partial on
-    ties: prefix sums for the ordered pairs, the tie pairs one by one.
+    ties: prefix sums for the ordered pairs (:meth:`MobilityOperator.below_sq`),
+    group sums under the quadrature for the ties
+    (:meth:`MobilityOperator.tie_sq`).
     """
     m = op.m
     K = path.shape[0] - 1
     inner = op.below_sq(P)
     if op.has_ties:
-        i, j = op.tie_pairs
-        d2 = (P[:, i] - P[:, j]) ** 2
-        np.add.at(inner, (slice(None), i), m[j] * _log_mean_partial(mids[:, i], mids[:, j]) * d2)
-        np.add.at(inner, (slice(None), j), m[i] * _log_mean_partial(mids[:, j], mids[:, i]) * d2)
+        inner += op.tie_sq(mids, P)
     G = -m * inner
     return K * (2.0 * m[None, :] * (P[:-1] - P[1:]) + 0.5 * (G[:-1] + G[1:]))
 

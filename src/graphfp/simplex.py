@@ -18,10 +18,10 @@ TANGENT_MEAN_TOL = 1e-12
 TAIL_DELTA = 0.5
 
 
-def _exp_safe(x: float) -> float:
-    """exp() that saturates to inf instead of raising on overflow."""
+def _saturate(f, *args) -> float:
+    """f(*args), saturated to inf instead of raising on overflow."""
     try:
-        return math.exp(x)
+        return f(*args)
     except OverflowError:
         return math.inf
 
@@ -209,7 +209,7 @@ def _class_constants(star: Density, lower: float, upper: float,
     every start density with range inside [``lower``, ``upper``]."""
     sup_s, inf_s = star.sup, star.inf
     norm_bound = (
-        4.0 * (sup_s / inf_s) * upper**2
+        4.0 * (sup_s / inf_s) * _saturate(math.pow, upper, 2)
         + 4.0 * sup_s
         + 2.0 * l2m_norm_sq(star.rho, star.weights)
     )
@@ -218,11 +218,11 @@ def _class_constants(star: Density, lower: float, upper: float,
 
     c1 = min(
         0.5 * lower,
-        0.25 * _exp_safe(-4.0 * phi_sup / (mw * beta)),
+        0.25 * _saturate(math.exp, -4.0 * phi_sup / (mw * beta)),
         beta * mw / (4.0 * (2.0 * phi_sup + beta)),
     )
     if c1 > 0.0:
-        exp_term = _exp_safe(2.0 * phi_sup / (beta * c1 * mw)) / (2.0 * mw)
+        exp_term = _saturate(math.exp, 2.0 * phi_sup / (beta * c1 * mw)) / (2.0 * mw)
     else:
         exp_term = math.inf
     c2 = max(

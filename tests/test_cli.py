@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import graphfp as g
+from graphfp import cli
 from graphfp.cli import main
 from graphfp.serialize import _csv_header_comment, fmt, load_density, save_density, \
     snapshots_to_csv
@@ -520,6 +521,15 @@ class TestTalagrandCommand:
         for entry in body["samples"]:
             assert entry["passed"] is True
 
+    def test_extreme_class_does_not_overflow(self, tmp_path):
+        # the squared class sup overflows a double: the constants carry inf
+        code = run(["talagrand", "--config", "configs/talagrand.yaml",
+                    "--nu-inf", 1e-300, "--nu-sup", 1e300, "--samples", 1,
+                    "--out", tmp_path / "out"])
+        assert code in (0, 3)
+        body = json.loads((tmp_path / "out" / "talagrand.json").read_text())
+        assert body["constants"]["norm_bound"] == "inf"
+
     def test_beta_must_be_one(self, tmp_path):
         assert run(["talagrand", "--config", "configs/talagrand.yaml",
                     "--set", "beta=2.0", "--nu-inf", 0.5, "--nu-sup", 2.0,
@@ -532,6 +542,16 @@ class TestSweepCommand:
             n=12, pot="constant", beta=1.0, eps=0.3, t_end=0.5, rec=0.25,
             out=tmp_path / "out", seed=5))
         assert run(["sweep", "--config", cfg]) == 2
+
+    def test_unknown_key_exits_before_any_run(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, BASE.format(
+            n=10, pot="random", beta=1.0, eps=0.5, t_end=1.5, rec=0.05,
+            out=tmp_path / "out", seed=6) + "\nsweep: {beta: [0.5, 1.0], nosuch: [1]}\n")
+        ran = []
+        monkeypatch.setattr(cli, "_run_simulation", ran.append)
+        assert run(["sweep", "--config", cfg]) == 2
+        assert ran == []
+        assert not (tmp_path / "out").exists()
 
     def test_beta_grid(self, tmp_path):
         cfg = write_config(tmp_path, BASE.format(

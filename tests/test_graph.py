@@ -146,6 +146,12 @@ class TestTailCutoff:
         else:
             assert g.estimate_tail_cutoff(w, bound, delta) == expect
 
+    def test_infinite_bound_takes_the_empty_tail(self):
+        # only an empty tail admits an overflowed norm bound
+        assert g.estimate_tail_cutoff(explicit_weights(7, seed=2), math.inf, 0.5) == 7
+        with pytest.raises(TruncationError):
+            g.estimate_tail_cutoff(g.build_weights(g.WeightFamily.geometric(0.5), 5), math.inf, 0.5)
+
     def test_insufficient_truncation(self):
         w = g.build_weights(g.WeightFamily.geometric(0.5), 5)  # raw tail 1/32
         with pytest.raises(TruncationError):

@@ -1,6 +1,8 @@
 """The sorted-order mobility operator against the dense pairwise formulas
 of :mod:`dense_oracle`, on instances with and without potential ties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,17 @@ from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve
 from helpers import explicit_weights, run_python
 
 
-def _instance(n, seed, ties, beta=1.0):
+def _instance(n, seed, ties, beta=1.0, spread=0.7):
     """(spec, rho): explicit weights, a potential drawn from a few levels
-    when ``ties`` (so tie groups of several sizes), else continuous."""
+    when ``ties`` (so tie groups of several sizes), else continuous, and a
+    density that spans e^(+-spread)."""
     rng = np.random.default_rng([n, seed])
     w = explicit_weights(n, seed=seed)
     if ties:
         phi = rng.integers(0, max(2, n // 4), n).astype(float)
     else:
         phi = rng.uniform(-1.0, 1.0, n)
-    rho = g.Density.normalized(np.exp(rng.uniform(-0.7, 0.7, n)), w)
+    rho = g.Density.normalized(np.exp(rng.uniform(-spread, spread, n)), w)
     return g.GraphSpec(weights=w, phi=phi, beta=beta), rho
 
 
@@ -29,35 +32,39 @@ def _close(a, b, rel=1e-12):
     assert np.abs(a - b).max() <= rel * scale
 
 
-SIZES = [2, 20, 200, 2000]
+def _cases(sizes):
+    """(n, ties, spread) for each size, with and without ties: densities
+    spanning e^(+-0.7), and e^(+-5) (ratios up to e^10 inside a tie group)."""
+    return [pytest.param(n, ties, spread, id=f"{n}-{ties}{tag}")
+            for spread, tag in ((0.7, ""), (5.0, "-wide"))
+            for n in sizes for ties in (False, True)]
 
 
-@pytest.mark.parametrize("ties", [False, True])
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n,ties,spread", _cases([2, 20, 200, 2000]))
 class TestAgainstDenseOracle:
-    def test_fpe_rhs(self, n, ties):
-        spec, rho = _instance(n, 1, ties, beta=0.8)
+    def test_fpe_rhs(self, n, ties, spread):
+        spec, rho = _instance(n, 1, ties, beta=0.8, spread=spread)
         _close(_rhs_closure("fpe", spec)(rho.rho), dense_oracle.rhs("fpe", spec)(rho.rho))
 
-    def test_fpe_rhs_is_minus_L_u(self, n, ties):
-        spec, rho = _instance(n, 2, ties, beta=1.3)
+    def test_fpe_rhs_is_minus_L_u(self, n, ties, spread):
+        spec, rho = _instance(n, 2, ties, beta=1.3, spread=spread)
         u = spec.phi + spec.beta * np.log(rho.rho)
         _close(_rhs_closure("fpe", spec)(rho.rho),
                -dense_oracle.matvec(rho.rho, spec.phi, spec.m, u))
 
-    def test_beta_zero_rhs(self, n, ties):
-        spec, rho = _instance(n, 3, ties, beta=0.0)
+    def test_beta_zero_rhs(self, n, ties, spread):
+        spec, rho = _instance(n, 3, ties, beta=0.0, spread=spread)
         _close(_rhs_closure("beta_zero", spec)(rho.rho),
                dense_oracle.rhs("beta_zero", spec)(rho.rho))
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
-    def test_phibar_rhs(self, n, ties, sign):
-        spec, rho = _instance(n, 4, ties, beta=0.6)
+    def test_phibar_rhs(self, n, ties, spread, sign):
+        spec, rho = _instance(n, 4, ties, beta=0.6, spread=spread)
         _close(_rhs_closure("phibar", spec, sign)(rho.rho),
                dense_oracle.rhs("phibar", spec, sign)(rho.rho))
 
-    def test_matvec_and_wdeg(self, n, ties):
-        spec, rho = _instance(n, 5, ties)
+    def test_matvec_and_wdeg(self, n, ties, spread):
+        spec, rho = _instance(n, 5, ties, spread=spread)
         p = np.random.default_rng(n).normal(size=n)
         op = MobilityOperator(spec.phi, spec.m)
         _close(op.apply(rho.rho, p), dense_oracle.matvec(rho.rho, spec.phi, spec.m, p))
@@ -81,6 +88,23 @@ def test_apply_stacks_over_leading_axes(ties):
         _close(row, dense_oracle.matvec(r, spec.phi, spec.m, p))
 
 
+def test_rows_of_a_stack_get_their_own_rule():
+    # the rows' densities span e^(+-0.1) .. e^(+-3): their tie groups need
+    # rules of several sizes, and each row matches its own single call
+    spec, _ = _instance(30, 7, ties=True)
+    rng = np.random.default_rng(8)
+    rhos = np.stack([g.Density.normalized(np.exp(rng.uniform(-s, s, 30)), spec.weights).rho
+                     for s in (0.1, 3.0, 1.0, 3.0)])
+    sigmas = rng.normal(size=(4, 30))
+    sigmas -= (sigmas @ spec.m)[:, None]
+    op = MobilityOperator(spec.phi, spec.m)
+    solved, sq = op.solve(rhos, sigmas), op.tie_sq(rhos, sigmas)
+    for r, s, p, row in zip(rhos, sigmas, solved, sq):
+        _close(p, op.solve(r, s), rel=1e-13)
+        _close(row, op.tie_sq(r, s), rel=1e-13)
+        _close(op.apply(r, p), s)
+
+
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_phibar_ties_in_adjusted_key(sign):
     # vertices 0-2 share phi and rho, so phi + sign beta log rho ties there
@@ -98,10 +122,9 @@ def test_phibar_ties_in_adjusted_key(sign):
            dense_oracle.rhs("phibar", spec, sign)(rho.rho))
 
 
-@pytest.mark.parametrize("ties", [False, True])
-@pytest.mark.parametrize("n", [2, 20, 200])
-def test_inverse(n, ties):
-    spec, rho = _instance(n, 7, ties)
+@pytest.mark.parametrize("n,ties,spread", _cases([2, 20, 200]))
+def test_inverse(n, ties, spread):
+    spec, rho = _instance(n, 7, ties, spread=spread)
     sigma = g.project_tangent(np.random.default_rng(n + 1).normal(size=n), spec.weights)
     p = g.invert_mobility(rho, spec.phi, sigma)
     direct = dense_oracle.invert(rho.rho, spec.phi, spec.m, sigma.sigma)
@@ -137,20 +160,48 @@ def test_geodesic_action_and_gradient(n, ties):
     _close(grad, grad_d, rel=1e-9)
 
 
-def test_tie_blocks_load_no_numpy_ma():
-    """The tie-group blocks are grouped by size in increasing order, as
-    ``np.unique`` would give them, without loading ``numpy.ma``."""
+def test_tie_path_loads_no_numpy_ma_or_polynomial():
+    """The tie path (rules, group sums, Woodbury solves) loads neither
+    numpy.ma nor numpy.polynomial."""
     code = """
 import sys
 import numpy as np
-from graphfp.metric import MobilityOperator
-phi = np.random.default_rng(3).integers(0, 40, 200).astype(float)
-op = MobilityOperator(phi, np.full(200, 1 / 200))
-loaded = "numpy.ma" in sys.modules
-size = np.diff(np.append(op._starts, 200))
-ref = [op._starts[size == k][:, None] + np.arange(k) for k in np.unique(size[size > 1])]
-same = len(ref) == len(op._blocks) and all(
-    np.array_equal(a, b) for a, b in zip(ref, op._blocks))
-print(loaded, same, len(ref) > 2)
+from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve
+rng = np.random.default_rng(3)
+m = np.full(200, 1 / 200)
+op = MobilityOperator(rng.integers(0, 40, 200).astype(float), m)
+path = np.exp(rng.uniform(-1.0, 1.0, (4, 200)))
+path /= (path @ m)[:, None]
+op.apply(path[0], rng.normal(size=200))
+_, P, mids = _segment_solve(path, op)
+_path_gradient(path, op, P, mids)
+print(op.has_ties, "numpy.ma" in sys.modules, "numpy.polynomial" in sys.modules)
 """
-    assert run_python(code) == "False True True"
+    assert run_python(code) == "True False False"
+
+
+def test_constant_potential_solve_memory():
+    # one tie group of 4000 vertices: a dense block alone would be 128 MB
+    n = 4000
+    spec, rho = _instance(n, 11, ties=False)
+    op = MobilityOperator(np.zeros(n), spec.m)
+    sigma = g.project_tangent(np.random.default_rng(11).normal(size=n), spec.weights).sigma
+    tracemalloc.start()
+    try:
+        p = op.solve(rho.rho, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    res = op.apply(rho.rho, p) - sigma
+    assert np.sqrt(spec.m @ (res * res)) <= 1e-12 * np.sqrt(spec.m @ (sigma * sigma))
+
+
+@pytest.mark.parametrize("call", ["apply", "solve"])
+def test_zero_density_in_tie_group_raises(call):
+    # log(0) makes the group's spread infinite: no rule covers it
+    w = explicit_weights(6, seed=1)
+    op = MobilityOperator(np.array([0.0, 0.0, 1.0, 1.0, 2.0, 3.0]), w.m)
+    rho = np.array([0.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="positive and finite"):
+        getattr(op, call)(rho, np.array([1.0, -1.0, 0.5, -0.5, 0.0, 0.0]))
