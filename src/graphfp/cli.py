@@ -218,6 +218,8 @@ def cmd_talagrand(args, cfg) -> int:
     spec = cfg.build_spec()
     if spec.beta != 1.0:
         raise ConfigError("transport-entropy constants are normalized to beta = 1")
+    # before the samples, whose ValueErrors are recorded as violations
+    cfg.geodesic.check_size(spec.N)
     mu = gibbs(spec)
     constants = talagrand_constants(mu, cls)
     rng = np.random.default_rng(cfg.seed)

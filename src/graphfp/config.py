@@ -234,7 +234,7 @@ class ExperimentConfig:
     def build_spec(self) -> GraphSpec:
         family = parse_weight_family(self.graph.family)
         weights = build_weights(family, self.graph.N)
-        phi = self._build_potential(weights.truncation_N)
+        phi = self._build_potential(len(weights))
         return GraphSpec(weights=weights, phi=phi, beta=self.beta)
 
     def _build_potential(self, n: int) -> np.ndarray:

@@ -60,6 +60,9 @@ _THETA_POWERS = np.arange(1, 5)
 # Most record times one trajectory may ask for (t_end / record_every): every
 # recorded state is kept in memory and written out.
 MAX_RECORDS = 10 ** 6
+# Most recorded entries, records x N, one trajectory may hold: 160 MB of
+# float64 states, checked before the integration allocates any of them.
+MAX_RECORD_ENTRIES = 2 * 10 ** 7
 
 
 def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0):
@@ -230,6 +233,10 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
 
     floor = config.positivity_floor
     rec_times = _record_grid(config)
+    if rec_times.size * rho0.rho.size > MAX_RECORD_ENTRIES:
+        raise ValueError(
+            f"integrator.record_every={config.record_every!r} asks for {rec_times.size} "
+            f"records x N={rho0.rho.size}, more than {MAX_RECORD_ENTRIES} state entries")
     t_final = float(rec_times[-1])
 
     y = rho0.rho.copy()

@@ -1,17 +1,18 @@
-"""Truncated sender networks: vertex-weight families, truncation bookkeeping,
-and conversion from locally finite graphs.
+"""Truncated sender networks: vertex-weight families, their truncation, and
+conversion from locally finite graphs.
 
 A sender network carries one positive weight per vertex with total mass one;
 the edge weight from j to i depends only on the sender j. Infinite families
 are represented by their first N weights, renormalized to sum exactly to one,
-with the pre-renormalization tail mass kept for cutoff estimates.
+with an upper bound on the dropped tail fraction kept for cutoff estimates.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,6 @@ class WeightFamily:
     q: float | None = None
     s: float | None = None
     values: tuple[float, ...] | None = None
-    description: str = ""
 
     def __post_init__(self):
         if self.kind == "geometric":
@@ -59,16 +59,16 @@ class WeightFamily:
             raise ValueError(f"unknown weight family kind {self.kind!r}")
 
     @classmethod
-    def geometric(cls, q: float, description: str = "") -> "WeightFamily":
-        return cls(kind="geometric", q=float(q), description=description)
+    def geometric(cls, q: float) -> "WeightFamily":
+        return cls(kind="geometric", q=float(q))
 
     @classmethod
-    def power_law(cls, s: float, description: str = "") -> "WeightFamily":
-        return cls(kind="power_law", s=float(s), description=description)
+    def power_law(cls, s: float) -> "WeightFamily":
+        return cls(kind="power_law", s=float(s))
 
     @classmethod
-    def explicit(cls, values, description: str = "") -> "WeightFamily":
-        return cls(kind="explicit", values=tuple(values), description=description)
+    def explicit(cls, values) -> "WeightFamily":
+        return cls(kind="explicit", values=tuple(values))
 
 
 def parse_weight_family(text: str) -> WeightFamily:
@@ -85,17 +85,17 @@ def parse_weight_family(text: str) -> WeightFamily:
     if head == "geometric":
         if key != "q":
             raise ValueError(f"geometric family expects q=<ratio>, got {arg!r}")
-        return WeightFamily.geometric(float(val), description=text.strip())
+        return WeightFamily.geometric(float(val))
     if head in ("powerlaw", "power_law"):
         if key != "s":
             raise ValueError(f"power-law family expects s=<exponent>, got {arg!r}")
-        return WeightFamily.power_law(float(val), description=text.strip())
+        return WeightFamily.power_law(float(val))
     if head == "explicit":
         if key != "file":
             raise ValueError(f"explicit family expects file=<path>, got {arg!r}")
         with open(val, "r", encoding="utf-8") as fh:
             vals = [float(line) for line in fh if line.strip()]
-        return WeightFamily.explicit(vals, description=text.strip())
+        return WeightFamily.explicit(vals)
     raise ValueError(f"unknown weight family {text!r}")
 
 
@@ -103,16 +103,13 @@ def parse_weight_family(text: str) -> WeightFamily:
 class WeightSequence:
     """First N weights of a family, renormalized to unit mass.
 
-    ``raw_tail_mass`` is the pre-renormalization mass of the family beyond
-    index N; for power-law families it is an integral upper bound rather
-    than the exact remainder (``tail_is_bound`` flags this).
+    ``raw_tail_mass`` is an upper bound on the family's tail fraction, the
+    mass beyond index N over the whole family's mass: exact for geometric
+    and explicit families, an integral bound for power laws.
     """
 
     m: np.ndarray
-    family: WeightFamily
-    truncation_N: int
     raw_tail_mass: float
-    tail_is_bound: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
@@ -124,13 +121,11 @@ class WeightSequence:
             raise ValueError("weights must sum to 1 within %.0e" % MASS_TOL)
         if not (0.0 <= self.raw_tail_mass < 1.0):
             raise ValueError("raw tail mass must lie in [0, 1)")
-        if self.truncation_N != m.size:
-            raise ValueError("truncation_N must match the stored length")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
     def __len__(self) -> int:
-        return self.truncation_N
+        return self.m.size
 
 
 def _renormalize(raw: np.ndarray) -> np.ndarray:
@@ -148,22 +143,20 @@ def build_weights(family: WeightFamily, N: int) -> WeightSequence:
     """First N weights of ``family``, renormalized, with tail accounting."""
     if N < 2:
         raise ValueError(f"need at least 2 vertices, got N={N}")
-    tail_is_bound = False
     if family.kind == "geometric":
         q = family.q
         # (1-q) q^(i-1) sums to one over the infinite family.
         raw = (1.0 - q) * np.exp(np.arange(N) * math.log(q))
         raw_tail = q**N
     elif family.kind == "power_law":
-        from scipy.special import zeta  # deferred: keeps scipy off the import path
-
         s = family.s
-        idx = np.arange(1, N + 1, dtype=float)
-        z = float(zeta(s))
-        raw = idx**(-s) / z
-        # Integral bound on the remainder; conservative by construction.
-        raw_tail = (N ** (1.0 - s) / (s - 1.0)) / z
-        tail_is_bound = True
+        # zeta(s) cancels in the renormalized weights. The remainder
+        # R = sum_{k>N} k^-s is at most T = int_N^inf x^-s dx, and R/(H+R)
+        # grows with R, so T/(H+T) bounds the tail fraction from above.
+        raw = np.arange(1, N + 1, dtype=float) ** -s
+        head = math.fsum(raw)
+        T = N ** (1.0 - s) / (s - 1.0)
+        raw_tail = T / (head + T)
     else:
         vals = family.values
         if N > len(vals):
@@ -177,13 +170,7 @@ def build_weights(family: WeightFamily, N: int) -> WeightSequence:
     if np.any(raw <= 0.0):
         raise ValueError("weights underflow to zero at the requested truncation")
     m = _renormalize(raw)
-    return WeightSequence(
-        m=m,
-        family=family,
-        truncation_N=N,
-        raw_tail_mass=min(float(raw_tail), np.nextafter(1.0, 0.0)),
-        tail_is_bound=tail_is_bound,
-    )
+    return WeightSequence(m=m, raw_tail_mass=min(float(raw_tail), np.nextafter(1.0, 0.0)))
 
 
 def from_locally_finite(adjacency_rows) -> WeightSequence:
@@ -206,14 +193,7 @@ def from_locally_finite(adjacency_rows) -> WeightSequence:
         row_sums.append(rs)
     if not row_sums:
         raise ValueError("need at least one vertex")
-    raw = np.asarray(row_sums, dtype=float)
-    family = WeightFamily.explicit(row_sums, description="locally finite row sums")
-    return WeightSequence(
-        m=_renormalize(raw),
-        family=family,
-        truncation_N=len(row_sums),
-        raw_tail_mass=0.0,
-    )
+    return WeightSequence(m=_renormalize(np.asarray(row_sums, dtype=float)), raw_tail_mass=0.0)
 
 
 def estimate_tail_cutoff(weights: WeightSequence, norm_bound: float, delta: float) -> int:
@@ -230,21 +210,27 @@ def estimate_tail_cutoff(weights: WeightSequence, norm_bound: float, delta: floa
     m = weights.m
     # suffix[n] = sum of m[n:] so the cutoff-n tail is suffix[n] + raw tail.
     suffix = np.concatenate([np.cumsum(m[::-1])[::-1], [0.0]])
-    for n in range(1, weights.truncation_N + 1):
+
+    def admits(n):
         tail = suffix[n] + weights.raw_tail_mass
         # an empty tail admits any bound, an infinite one included
-        if tail <= 0.0 or math.sqrt(tail) * norm_bound < delta:
-            return n
+        return tail <= 0.0 or math.sqrt(tail) * norm_bound < delta
+
+    # Adding a positive weight never lowers a rounded sum, so the tail
+    # shrinks with n and the admissible cutoffs are all n past the first.
+    n = bisect.bisect_left(range(1, m.size + 1), True, key=admits) + 1
+    if n <= m.size:
+        return n
     raise TruncationError(
-        f"no admissible cutoff within N={weights.truncation_N}: even the full "
+        f"no admissible cutoff within N={len(weights)}: even the full "
         f"prefix leaves sqrt({weights.raw_tail_mass:.3e}) * {norm_bound:.3e} >= {delta}"
     )
 
 
 def min_weight_prefix(weights: WeightSequence, n0: int) -> float:
     """Minimum weight over the first ``n0`` vertices."""
-    if not (1 <= n0 <= weights.truncation_N):
-        raise ValueError(f"prefix length {n0} outside 1..{weights.truncation_N}")
+    if not (1 <= n0 <= len(weights)):
+        raise ValueError(f"prefix length {n0} outside 1..{len(weights)}")
     return float(weights.m[:n0].min())
 
 
@@ -255,11 +241,10 @@ class GraphSpec:
     weights: WeightSequence
     phi: np.ndarray
     beta: float
-    warn_near_ties: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
-        if phi.shape != (self.weights.truncation_N,):
+        if phi.shape != self.weights.m.shape:
             raise ValueError("potential length must match the weight vector")
         if np.any(~np.isfinite(phi)):
             raise ValueError("potential values must be finite")
@@ -267,12 +252,11 @@ class GraphSpec:
             raise ValueError(f"diffusion constant must be >= 0, got {self.beta}")
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
-        if self.warn_near_ties:
-            _warn_near_ties(phi)
+        _warn_near_ties(phi)
 
     @property
     def N(self) -> int:
-        return self.weights.truncation_N
+        return len(self.weights)
 
     @property
     def m(self) -> np.ndarray:

@@ -27,6 +27,10 @@ INVERT_RTOL = 1e-10
 # Eigenvalues below this fraction of the largest count as kernel.
 KERNEL_RTOL = 1e-10
 
+# Most path entries, (knots + 1) x N, one geodesic call may hold: the
+# descent keeps about twenty arrays of that shape, some 350 MB at the bound.
+MAX_PATH_ENTRIES = 2 * 10 ** 6
+
 # Relative spread below which the logarithmic mean switches to its series.
 _LOG_MEAN_SWITCH = 1e-8
 # Relative error bound of the Gauss-Legendre rule on tie groups: half an ulp.
@@ -482,6 +486,14 @@ class GeodesicConfig:
         if self.knots < 2:
             raise ValueError("need at least 2 path segments")
 
+    def check_size(self, n: int) -> None:
+        """ValueError when a path over ``n`` vertices would exceed
+        MAX_PATH_ENTRIES."""
+        if (self.knots + 1) * n > MAX_PATH_ENTRIES:
+            raise ValueError(
+                f"geodesic.knots={self.knots} asks for {self.knots + 1} knots x N={n}, "
+                f"more than {MAX_PATH_ENTRIES} path entries")
+
 
 @dataclass
 class GeodesicResult:
@@ -611,6 +623,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     weights = rho_a.weights
     if weights is not rho_b.weights and not np.array_equal(weights.m, rho_b.weights.m):
         raise ValueError("endpoints must share a weight vector")
+    config.check_size(len(weights))
     phi = np.asarray(phi, dtype=float)
     m = weights.m
     K = config.knots

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .graph import GraphSpec, WeightFamily, WeightSequence
+from .graph import GraphSpec, WeightSequence
 from .simplex import Density
 
 SCHEMA_VERSION = 1
@@ -62,7 +62,7 @@ def save_density(path, rho: Density, spec: GraphSpec) -> None:
 
 
 def load_density(path) -> tuple[Density, GraphSpec]:
-    """Read back a density file; weights come in as an explicit family."""
+    """Read back a density file; its weights carry no tail."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -79,8 +79,7 @@ def load_density(path) -> tuple[Density, GraphSpec]:
             if idx != k + 1:
                 raise ValueError(f"{path}: row index {idx} out of order")
             m[k], phi[k], rho[k] = (float(p) for p in parts[1:])
-    family = WeightFamily.explicit(m.tolist(), description=f"loaded from {os.path.basename(path)}")
-    weights = WeightSequence(m=m, family=family, truncation_N=n, raw_tail_mass=0.0)
+    weights = WeightSequence(m=m, raw_tail_mass=0.0)
     spec = GraphSpec(weights=weights, phi=phi, beta=beta)
     return Density(rho, weights), spec
 

@@ -40,7 +40,7 @@ class Density:
 
     def __post_init__(self, mass_tol):
         r = np.asarray(self.rho, dtype=float)
-        if r.shape != (self.weights.truncation_N,):
+        if r.shape != self.weights.m.shape:
             raise ValueError("density length must match the weight vector")
         if np.any(~np.isfinite(r)) or np.any(r < 0.0):
             raise ValueError("density values must be finite and >= 0")
@@ -89,7 +89,7 @@ class TangentVector:
 
     def __post_init__(self, mean_tol):
         s = np.asarray(self.sigma, dtype=float)
-        if s.shape != (self.weights.truncation_N,):
+        if s.shape != self.weights.m.shape:
             raise ValueError("tangent length must match the weight vector")
         if np.any(~np.isfinite(s)):
             raise ValueError("tangent values must be finite")

@@ -82,6 +82,12 @@ class TestImportPath:
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert run_python(code) == "[]"
 
+    def test_power_law_runs_without_scipy(self, tmp_path):
+        args = ["gibbs", "--config", "configs/decay.yaml", "--set", "graph.family=powerlaw:s=3.0",
+                "--set", "graph.N=200", "--out", str(tmp_path / "out")]
+        code = f"import sys; sys.modules['scipy'] = None; from graphfp.cli import main; print(main({args!r}))"
+        assert run_python(code) == "0"
+
     def test_package_import_loads_no_numpy(self):
         assert run_python("import sys, graphfp; print('numpy' in sys.modules)") == "False"
 
@@ -350,6 +356,16 @@ class TestSimulateCommand:
         assert time.perf_counter() - start < 1.0
         assert not (tmp_path / "out").exists()
 
+    def test_huge_record_block_is_config_error(self, tmp_path, capsys):
+        # 400001 records x N=20000 float64 states would take 64 GB
+        start = time.perf_counter()
+        assert run(["simulate", "--config", "configs/decay.yaml",
+                    "--set", "graph.family=geometric:q=0.999", "--set", "graph.N=20000",
+                    "--set", "integrator.record_every=1e-5", "--out", tmp_path / "out"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "integrator.record_every" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_master_mode_checks_sup_norm(self, tmp_path):
         assert run(["simulate", "--config", "configs/master.yaml",
                     "--out", tmp_path / "m"]) == 0
@@ -439,6 +455,18 @@ class TestMetricCommand:
         assert diag["stop_reason"] == "max_iters" and diag["converged"] is False
         assert diag["iterations"] == 3 and "max_iters" in diag["warnings"]
         assert diag["segment_solves"] >= 4   # the start and one per accepted step
+
+    @pytest.mark.parametrize("command", ["metric", "w1", "talagrand"])
+    def test_huge_path_is_config_error(self, tmp_path, capsys, command):
+        # 100000001 knots x N would be allocated before the first step
+        pa, pb = self._endpoints(tmp_path, same=False)
+        inputs = (["--config", "configs/talagrand.yaml", "--nu-inf", 0.5, "--nu-sup", 2.0]
+                  if command == "talagrand" else ["--a", pa, "--b", pb])
+        start = time.perf_counter()
+        assert run([command, *inputs, "--set", "geodesic.knots=100000000",
+                    "--out", tmp_path / "out"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "geodesic.knots" in capsys.readouterr().err
 
     def test_mismatched_weights_rejected(self, tmp_path):
         pa, _ = self._endpoints(tmp_path, same=False)

@@ -236,10 +236,10 @@ def _decay_instance(kind):
     experiment at N=30, with a seeded potential and start."""
     if kind == "master":
         w = g.build_weights(g.WeightFamily.geometric(0.6), 30)
-        spec = g.GraphSpec(weights=w, phi=np.zeros(w.truncation_N), beta=1.0)
+        spec = g.GraphSpec(weights=w, phi=np.zeros(len(w)), beta=1.0)
     else:
         w = g.build_weights(g.WeightFamily.geometric(0.5), 40)
-        phi = np.random.default_rng(1).uniform(-1.0, 1.0, w.truncation_N)
+        phi = np.random.default_rng(1).uniform(-1.0, 1.0, len(w))
         spec = g.GraphSpec(weights=w, phi=phi, beta=1.0)
     return spec, perturbed_gibbs(spec, 0.5, 1)
 

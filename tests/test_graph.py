@@ -1,6 +1,7 @@
 """Weight families, truncation bookkeeping, and sender-network conversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ class TestBuildWeights:
         w = g.build_weights(g.WeightFamily.geometric(0.5), 2)
         np.testing.assert_allclose(w.m, [2 / 3, 1 / 3], rtol=1e-15)
         assert w.raw_tail_mass == pytest.approx(0.25, rel=1e-15)
-        assert not w.tail_is_bound
 
     def test_explicit_uniform(self):
         w = g.build_weights(g.WeightFamily.explicit([1, 1, 1, 1]), 4)
@@ -71,9 +71,18 @@ class TestBuildWeights:
         w = g.build_weights(g.WeightFamily.power_law(s), n)
         idx = np.arange(n + 1, 2_000_000, dtype=float)
         true_tail_lower = float((idx ** -s).sum()) / float(np.pi**2 / 6)
-        assert w.tail_is_bound
         assert w.raw_tail_mass >= true_tail_lower
         assert w.raw_tail_mass <= 2.0 * true_tail_lower + 1e-12
+
+    @pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 3.0, 6.0])
+    @pytest.mark.parametrize("n", [2, 10, 50, 1000])
+    def test_power_law_tail_lies_between_remainder_and_integral(self, s, n):
+        # zeta(s) - H_N = R_N >= the brute-force partial remainder, and the
+        # integral bound over zeta(s) is the tail the weights used to carry
+        zeta = pytest.importorskip("scipy.special").zeta(s)
+        w = g.build_weights(g.WeightFamily.power_law(s), n)
+        partial = math.fsum(np.arange(n + 1, n + 100_001, dtype=float) ** -s)
+        assert partial / zeta <= w.raw_tail_mass <= n ** (1.0 - s) / ((s - 1.0) * zeta)
 
     def test_explicit_truncation_keeps_tail(self):
         w = g.build_weights(g.WeightFamily.explicit([2, 1, 1]), 2)
@@ -114,14 +123,47 @@ class TestFromLocallyFinite:
 
 def _cutoff_oracle(weights, norm_bound, delta):
     """Exhaustive scan over every admissible prefix length."""
-    for n in range(1, weights.truncation_N + 1):
+    for n in range(1, len(weights) + 1):
         tail = math.fsum(weights.m[n:]) + weights.raw_tail_mass
         if math.sqrt(tail) * norm_bound < delta:
             return n
     return None
 
 
+def _cutoff_loop(weights, norm_bound, delta):
+    """The scalar scan over the suffix sums that the bisection replaced;
+    it must agree exactly, None where no cutoff is admissible."""
+    suffix = np.concatenate([np.cumsum(weights.m[::-1])[::-1], [0.0]])
+    for n in range(1, len(weights) + 1):
+        tail = suffix[n] + weights.raw_tail_mass
+        if tail <= 0.0 or math.sqrt(tail) * norm_bound < delta:
+            return n
+    return None
+
+
 class TestTailCutoff:
+    def test_matches_the_scalar_loop(self):
+        rng = np.random.default_rng(12)
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # sqrt(0) * inf on an empty tail must not warn
+            for k in range(200):
+                n = int(rng.integers(2, 300))
+                zero_tail = k % 2 == 1
+                w = (explicit_weights(n, seed=k) if zero_tail else
+                     g.build_weights(g.WeightFamily.geometric(rng.uniform(0.5, 0.97)), n))
+                bound = math.inf if k % 3 == 0 else float(rng.uniform(0.5, 1e3))
+                delta = float(rng.uniform(0.01, 0.99))
+                expect = _cutoff_loop(w, bound, delta)
+                if expect is None:
+                    with pytest.raises(TruncationError):
+                        g.estimate_tail_cutoff(w, bound, delta)
+                else:
+                    assert g.estimate_tail_cutoff(w, bound, delta) == expect
+                seen.add((zero_tail, bound == math.inf, expect is None))
+        assert {(True, True, False), (True, False, False), (False, True, True),
+                (False, False, True), (False, False, False)} <= seen
+
     def test_uniform_four_vertices(self):
         w = explicit_weights(4)
         assert g.estimate_tail_cutoff(w, 1.0, 0.6) == 3
@@ -173,9 +215,7 @@ class TestTailCutoff:
 
 class TestMinWeightPrefix:
     def test_direct_minimum(self):
-        w = g.WeightSequence(m=np.array([1 / 2, 1 / 3, 1 / 6]),
-                             family=g.WeightFamily.explicit([3, 2, 1]),
-                             truncation_N=3, raw_tail_mass=0.0)
+        w = g.WeightSequence(m=np.array([1 / 2, 1 / 3, 1 / 6]), raw_tail_mass=0.0)
         assert g.min_weight_prefix(w, 2) == pytest.approx(1 / 3)
         assert g.min_weight_prefix(w, 3) == pytest.approx(1 / 6)
 

@@ -88,8 +88,7 @@ class TestW1Distance:
         nu = random_interior(19, w)
         base = g.w1_distance(mu, nu)
         perm = rng.permutation(n)
-        wp = g.WeightSequence(m=w.m[perm], family=g.WeightFamily.explicit(w.m[perm]),
-                              truncation_N=n, raw_tail_mass=0.0)
+        wp = g.WeightSequence(m=w.m[perm], raw_tail_mass=0.0)
         mup = g.Density(mu.rho[perm], wp)
         nup = g.Density(nu.rho[perm], wp)
         assert g.w1_distance(mup, nup) == pytest.approx(base, abs=1e-10)

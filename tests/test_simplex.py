@@ -93,8 +93,7 @@ class TestGibbs:
     def test_shift_protects_against_overflow(self):
         # exp(-phi/beta) would overflow without the max-shift
         w = explicit_weights(4)
-        spec = g.GraphSpec(weights=w, phi=np.array([-300.0, 0.0, 150.0, 300.0]),
-                           beta=1.0, warn_near_ties=False)
+        spec = g.GraphSpec(weights=w, phi=np.array([-300.0, 0.0, 150.0, 300.0]), beta=1.0)
         star = g.gibbs(spec)
         assert np.all(np.isfinite(star.rho)) and star.interior
         assert star.rho.argmax() == 0
