@@ -11,7 +11,7 @@ import importlib
 _EXPORTS = {
     "dynamics": ("IntegratorConfig", "MonitorReport", "TrajectoryRecord",
                  "decay_rate_fit", "effective_potential_rhs", "fokker_planck_rhs",
-                 "integrate", "master_equation_rhs", "monitor", "zero_diffusion_rhs"),
+                 "integrate", "monitor"),
     "errors": ("ConvergenceError", "InsufficientDataError", "InvariantBreachError",
                "NearTieWarning", "StiffnessError", "TruncationError"),
     "graph": ("GraphSpec", "WeightFamily", "WeightSequence", "build_weights",

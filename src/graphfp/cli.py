@@ -4,7 +4,8 @@ Subcommands: gibbs, simulate, metric, talagrand, w1, sweep. Every command
 reads one config file (``--config``), applies key overrides (``--set``),
 and writes machine-readable outputs that embed the resolved config and
 seed. Exit codes: 0 success, 2 config/usage error, 3 runtime or numerical
-failure (including failed verifications).
+failure (including failed verifications). The library checks its inputs
+and raises; ``main`` maps the exception class to the exit code.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _set_dotted
-from .dynamics import decay_rate_fit, integrate, monitor
+from .dynamics import decay_rate_fit, integrate, is_gradient_flow, monitor
 from .errors import (ConvergenceError, InsufficientDataError, InvariantBreachError,
                      StiffnessError, TruncationError)
 from .inequalities import (TalagrandClass, sample_in_class, talagrand_constants,
@@ -39,6 +40,10 @@ from .simplex import gibbs, invariant_constants
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# Most samples one talagrand run may take: each is one geodesic and one
+# entry of the report.
+MAX_SAMPLES = 10 ** 4
 
 
 def _add_common(sub):
@@ -91,20 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"graphfp: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.func(args, cfg)
+        return args.func(args, _load_config(args))
     except (StiffnessError, ConvergenceError, InvariantBreachError) as exc:
         print(f"graphfp: numerical failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except TruncationError as exc:
-        # the caller must enlarge the truncation: a configuration problem
-        print(f"graphfp: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # ConfigError and TruncationError among them
         print(f"graphfp: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -138,8 +134,6 @@ def _meta(cfg) -> dict:
 
 def cmd_gibbs(args, cfg) -> int:
     spec = cfg.build_spec()
-    if spec.beta <= 0.0:
-        raise ConfigError("the stationary density needs beta > 0")
     star = gibbs(spec)
     rho0 = cfg.build_initial(spec)
     constants = invariant_constants(rho0, spec)
@@ -154,11 +148,8 @@ def cmd_gibbs(args, cfg) -> int:
 def _run_simulation(cfg):
     spec = cfg.build_spec()
     kind = cfg.dynamics.kind
-    if spec.beta == 0.0 and kind not in ("fpe", "beta_zero"):
-        raise ConfigError(f"dynamics kind {kind!r} needs beta > 0")
     rho0 = cfg.build_initial(spec)
-    use_constants = spec.beta > 0.0 and kind in ("fpe", "master")
-    constants = invariant_constants(rho0, spec) if use_constants else None
+    constants = invariant_constants(rho0, spec) if is_gradient_flow(kind, spec.beta) else None
     traj = integrate(kind, rho0, spec, cfg.integrator, sign=cfg.dynamics.sign)
     report = monitor(traj, constants)
     try:
@@ -188,14 +179,19 @@ def cmd_simulate(args, cfg) -> int:
     return EXIT_OK if report.all_passed else EXIT_RUNTIME
 
 
-def cmd_metric(args, cfg) -> int:
+def _load_pair(args):
+    """The endpoint densities of ``--a`` and ``--b`` and their common
+    potential; the library checks that they share a weight vector."""
     rho_a, spec_a = load_density(args.a)
     rho_b, spec_b = load_density(args.b)
-    if not np.array_equal(spec_a.m, spec_b.m):
-        raise ConfigError("endpoint files carry different weight vectors")
     if not np.array_equal(spec_a.phi, spec_b.phi):
         raise ConfigError("endpoint files carry different potentials")
-    geo = geodesic_distance(rho_a, rho_b, spec_a.phi, cfg.geodesic)
+    return rho_a, rho_b, spec_a.phi
+
+
+def cmd_metric(args, cfg) -> int:
+    rho_a, rho_b, phi = _load_pair(args)
+    geo = geodesic_distance(rho_a, rho_b, phi, cfg.geodesic)
     out = _outdir(cfg)
     meta = _meta(cfg)
     path_to_csv(os.path.join(out, "path.csv"), geo.path, meta)
@@ -210,10 +206,8 @@ def cmd_metric(args, cfg) -> int:
 
 
 def cmd_talagrand(args, cfg) -> int:
-    if args.samples < 1:
-        raise ConfigError("--samples must be at least 1")
-    if args.nu_inf > args.nu_sup:
-        raise ConfigError("nu-inf must not exceed nu-sup")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise ConfigError(f"--samples must lie in [1, {MAX_SAMPLES}]")
     cls = TalagrandClass(nu_inf=args.nu_inf, nu_sup=args.nu_sup)
     spec = cfg.build_spec()
     if spec.beta != 1.0:
@@ -246,20 +240,16 @@ def cmd_talagrand(args, cfg) -> int:
 
 
 def cmd_w1(args, cfg) -> int:
-    mu, spec_a = load_density(args.a)
-    nu, spec_b = load_density(args.b)
-    if not np.array_equal(spec_a.m, spec_b.m):
-        raise ConfigError("endpoint files carry different weight vectors")
-    out = _outdir(cfg)
+    mu, nu, phi = _load_pair(args)
     if mu.interior and nu.interior:
-        rep = verify_w1_bound(mu, nu, spec_a.phi, cfg.geodesic)
-        write_report(os.path.join(out, "w1.json"),
+        rep = verify_w1_bound(mu, nu, phi, cfg.geodesic)
+        write_report(os.path.join(_outdir(cfg), "w1.json"),
                      {**_meta(cfg), **rep.as_dict(), "bound_checked": True})
         return EXIT_OK if rep.passed else EXIT_RUNTIME
     # boundary densities are valid W1 inputs, but the transport bound needs
     # interior endpoints; report the distance alone
     value = w1_distance(mu, nu)
-    write_report(os.path.join(out, "w1.json"),
+    write_report(os.path.join(_outdir(cfg), "w1.json"),
                  {**_meta(cfg), "w1": value, "distance_bound": None,
                   "bound_checked": False})
     return EXIT_OK

@@ -1,12 +1,15 @@
 """Evolution equations on the weighted simplex and their monitors.
 
-Four right-hand sides are provided: the full flow with potential-ordered
-branches, the variant ordered by the entropy-adjusted potential, the pure
-drift system at beta = 0, and the linear master equation for constant
-potentials. A shared adaptive embedded Runge-Kutta integrator advances all
-of them, rejecting any step that crosses the positivity floor, and the
-monitor checks every quantitative property a trajectory is expected to
-satisfy.
+Four kinds of flow are integrated: the full flow with potential-ordered
+branches (fpe), the variant ordered by the entropy-adjusted potential
+(phibar), the pure drift system at beta = 0 (beta_zero), and the linear
+master equation for constant potentials (master). All four are
+-L(rho)(phi + beta log rho); ``_rhs_closure`` alone decides which (beta,
+phi) each kind admits. Two right-hand sides are public: fpe, which is also
+beta_zero at beta = 0 and master on a constant potential, and phibar. A
+shared adaptive embedded Runge-Kutta integrator advances every kind,
+rejecting any step that crosses the positivity floor, and the monitor
+checks every quantitative property a trajectory is expected to satisfy.
 """
 
 from __future__ import annotations
@@ -23,6 +26,15 @@ from .simplex import ConstantsReport, Density, TangentVector, free_energy, gibbs
     l2m_norm_sq, relative_energy
 
 KINDS = ("fpe", "phibar", "beta_zero", "master")
+
+
+def is_gradient_flow(kind: str, beta: float) -> bool:
+    """Whether ``kind`` at ``beta`` is the gradient flow of the free energy
+    in the metric of the potential order: fpe, or master (fpe on a constant
+    potential), with beta > 0. The invariant-set constants and the
+    dissipation identity are stated for exactly these runs."""
+    return kind in ("fpe", "master") and beta > 0.0
+
 
 # Dormand-Prince 5(4) tableau; the last row doubles as the 5th-order weights
 # (first-same-as-last structure).
@@ -72,7 +84,9 @@ def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0):
     (u = phi at beta = 0), through one sorted-order mobility operator built
     here; phibar re-sorts by its adjusted potential on every evaluation.
     The master equation is fpe on a constant potential: one tie group, where
-    -L(rho) u = beta (sum_j m_j rho_j - rho_i sum_j m_j).
+    -L(rho) u = beta (sum_j m_j rho_j - rho_i sum_j m_j). This is the one
+    place that checks a kind and the (beta, phi) it admits; it raises
+    ValueError on an unknown kind or an instance the kind does not admit.
     """
     m = spec.m
     phi = spec.phi
@@ -109,7 +123,9 @@ def _require_interior_for(spec: GraphSpec, rho: Density):
 def fokker_planck_rhs(rho: Density, spec: GraphSpec) -> TangentVector:
     """Time derivative of the flow: pairs are split by the strict order of
     the potential, with the higher-potential density carrying each
-    off-diagonal term and ties contributing beta (rho_j - rho_i)."""
+    off-diagonal term and ties contributing beta (rho_j - rho_i). At
+    beta = 0 this is the pure drift system (kind beta_zero); on a constant
+    potential it is the master equation (kind master)."""
     _require_interior_for(spec, rho)
     return TangentVector(_rhs_closure("fpe", spec)(rho.rho), rho.weights)
 
@@ -119,17 +135,6 @@ def effective_potential_rhs(rho: Density, spec: GraphSpec, sign: float = -1.0) -
     phi_i + sign * beta * log rho_i (default sign -1); ties join neither sum."""
     _require_interior_for(spec, rho)
     return TangentVector(_rhs_closure("phibar", spec, sign)(rho.rho), rho.weights)
-
-
-def zero_diffusion_rhs(rho: Density, spec: GraphSpec) -> TangentVector:
-    """Pure drift system at beta = 0; sender weights are kept in both sums."""
-    return TangentVector(_rhs_closure("beta_zero", spec)(rho.rho), rho.weights)
-
-
-def master_equation_rhs(rho: Density, spec: GraphSpec) -> TangentVector:
-    """Linear relaxation beta * sum_j m_j (rho_j - rho_i) for constant potentials."""
-    _require_interior_for(spec, rho)
-    return TangentVector(_rhs_closure("master", spec)(rho.rho), rho.weights)
 
 
 @dataclass(frozen=True)
@@ -220,8 +225,6 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
     the usual controller. Every recorded state must carry unit mass within
     1e-10 or the run aborts. The record's ``stats`` counts what was done.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown rhs kind {kind!r}; expected one of {KINDS}")
     if spec.beta > 0.0:
         rho0.require_interior("integration with beta > 0")
     rhs = _rhs_closure(kind, spec, sign)
@@ -408,7 +411,7 @@ def monitor(traj: TrajectoryRecord, constants: ConstantsReport | None = None) ->
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     checks: dict[str, CheckResult] = {}
-    metric_kind = traj.kind in ("fpe", "master") and traj.spec.beta > 0.0
+    metric_kind = is_gradient_flow(traj.kind, traj.spec.beta)
 
     dF = np.diff(traj.F_values)
     worst = float(dF.max()) if dF.size else 0.0

@@ -25,6 +25,11 @@ MASS_TOL = 1e-14
 # near-tie diagnostic: branch selection compares floats exactly.
 NEAR_TIE_GAP = 1e-12
 
+# Most vertices one instance may have: each vector over the vertices takes
+# 80 MB of float64 at this size, and a run holds several. Checked before any
+# of them is allocated.
+MAX_VERTICES = 10 ** 7
+
 
 @dataclass(frozen=True)
 class WeightFamily:
@@ -143,6 +148,8 @@ def build_weights(family: WeightFamily, N: int) -> WeightSequence:
     """First N weights of ``family``, renormalized, with tail accounting."""
     if N < 2:
         raise ValueError(f"need at least 2 vertices, got N={N}")
+    if N > MAX_VERTICES:
+        raise ValueError(f"graph.N={N} exceeds {MAX_VERTICES} vertices")
     if family.kind == "geometric":
         q = family.q
         # (1-q) q^(i-1) sums to one over the infinite family.

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .graph import GraphSpec, WeightSequence
+from .graph import MAX_VERTICES, GraphSpec, WeightSequence
 from .simplex import Density
 
 SCHEMA_VERSION = 1
@@ -68,6 +68,8 @@ def load_density(path) -> tuple[Density, GraphSpec]:
         if len(header) != 2:
             raise ValueError(f"{path}: expected header 'N beta'")
         n, beta = int(header[0]), float(header[1])
+        if n > MAX_VERTICES:
+            raise ValueError(f"{path}: header N={n} exceeds {MAX_VERTICES} vertices")
         m = np.empty(n)
         phi = np.empty(n)
         rho = np.empty(n)

@@ -387,6 +387,12 @@ class TestSimulateCommand:
             out=tmp_path / "out", seed=5))
         assert run(["simulate", "--config", cfg, "--set", "dynamics.kind=rk"]) == 2
 
+    @pytest.mark.parametrize("kind", ["phibar", "master"])
+    def test_kind_needing_diffusion_is_config_error(self, tmp_path, kind):
+        assert run(["simulate", *SMALL_SET, "--set", "beta=0", "--set", "initial.kind=uniform",
+                    "--set", f"dynamics.kind={kind}", "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_type_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, BASE.format(
             n=12, pot="constant", beta=1.0, eps=0.3, t_end=0.5, rec=0.25,
@@ -524,6 +530,29 @@ class TestW1Command:
         assert body["w1"] == 0.5 * float(np.dot(a.weights.m, np.abs(a.rho - b.rho)))
 
 
+    def test_mismatched_potentials_rejected(self, tmp_path, capsys):
+        # the pair's geodesic would otherwise run on file a's potential
+        w = explicit_weights(6, seed=44)
+        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+        for path, seed in ((pa, 44), (pb, 45)):
+            spec = g.GraphSpec(weights=w, phi=np.random.default_rng(seed).uniform(-1, 1, 6),
+                               beta=1.0)
+            save_density(path, random_interior(seed, w), spec)
+        assert run(["w1", "--a", pa, "--b", pb, "--out", tmp_path / "out"]) == 2
+        assert "different potentials" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_geodesic_writes_no_directory(self, tmp_path):
+        w = explicit_weights(6, seed=44)
+        spec = g.GraphSpec(weights=w, phi=np.zeros(6), beta=1.0)
+        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_density(pa, random_interior(44, w), spec)
+        save_density(pb, random_interior(45, w), spec)
+        assert run(["w1", "--a", pa, "--b", pb, "--set", "geodesic.knots=100000000",
+                    "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
+
 class TestTalagrandCommand:
     def test_malformed_class(self, tmp_path):
         assert run(["talagrand", "--config", "configs/talagrand.yaml",
@@ -562,6 +591,184 @@ class TestTalagrandCommand:
         assert run(["talagrand", "--config", "configs/talagrand.yaml",
                     "--set", "beta=2.0", "--nu-inf", 0.5, "--nu-sup", 2.0,
                     "--out", tmp_path / "out"]) == 2
+
+
+def _exit_and_error_under_limits(args, needle):
+    """Exit code of ``main(args)``, and whether its stderr names ``needle``,
+    in a fresh interpreter with 2 GB of address space and 10 s of CPU: an
+    input that allocates or loops past its bound fails the call instead of
+    the machine."""
+    code = ("import contextlib, io, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))\n"
+            "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+            "from graphfp.cli import main\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = main({[str(a) for a in args]!r})\n"
+            f"print(code, {needle!r} in err.getvalue())\n")
+    return run_python(code)
+
+
+class TestSizeBounds:
+    """Each size an input names is bounded before anything is allocated."""
+
+    def test_huge_graph_is_config_error(self, tmp_path):
+        args = ["gibbs", "--config", "configs/decay.yaml", "--set", "graph.N=1000000000",
+                "--out", tmp_path / "out"]
+        assert _exit_and_error_under_limits(args, "graph.N") == "2 True"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["metric", "w1"])
+    def test_huge_density_header_is_config_error(self, tmp_path, command):
+        pa = tmp_path / "a.txt"
+        pa.write_text("1000000000000 1.0\n1 1.0 0.0 1.0\n")
+        args = [command, "--a", pa, "--b", pa, "--out", tmp_path / "out"]
+        assert _exit_and_error_under_limits(args, str(pa)) == "2 True"
+
+    def test_too_many_samples_is_usage_error(self, tmp_path):
+        args = ["talagrand", "--config", "configs/talagrand.yaml", "--nu-inf", 0.5,
+                "--nu-sup", 2.0, "--samples", 10 ** 9, "--out", tmp_path / "out"]
+        assert _exit_and_error_under_limits(args, "--samples") == "2 True"
+
+
+# Flag values: class bounds that admit the uniform density about half the
+# time, the extremes of a double and nonsense.
+_NU_SPECIAL = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1.0, 1e300, math.inf, -math.inf,
+                               math.nan])
+_NU_INF = st.one_of(st.floats(0.05, 1.0), _NU_SPECIAL)
+_NU_SUP = st.one_of(st.floats(1.0, 20.0), _NU_SPECIAL)
+_SAMPLES = st.one_of(st.integers(1, 2), st.sampled_from([0, -2, cli.MAX_SAMPLES + 1, 10 ** 18]))
+# Density files: at most one damage per pair, none about half the time.
+_DAMAGE = st.one_of(st.just("none"), st.sampled_from([
+    "header N+1", "header N-1", "header 0", "header -1", "header huge", "header word",
+    "header no beta", "header extra", "header nan beta", "row short", "row long",
+    "row index", "row missing", "row blank", "entry", "unnormalized", "unequal size",
+    "unequal weights", "unequal potential"]))
+# Entries a damaged file may hold: zero, tiny, huge, negative, not finite.
+_ENTRY = st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 1e12, 1e300, -1.0, math.inf, math.nan])
+
+
+@st.composite
+def _density_pair(draw):
+    """Texts of two density files over at most 6 vertices."""
+    n = draw(st.integers(1, 6))
+    phi = draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    damage = draw(_DAMAGE)
+    target = draw(st.integers(0, 1))
+    texts = []
+    for which in (0, 1):
+        hit = which == target
+        size = n % 6 + 1 if hit and damage == "unequal size" else n
+        seed = 2 if hit and damage == "unequal weights" else 1
+        m = explicit_weights(size, seed=seed).m if size > 1 else np.ones(1)
+        pot = np.array(phi[:size]) + (0.5 if hit and damage == "unequal potential" else 0.0)
+        rho = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=size, max_size=size)))
+        k = draw(st.integers(0, size - 1))
+        if hit and damage == "entry":
+            rho[k] = draw(_ENTRY)
+        with np.errstate(all="ignore"):
+            total = float(np.dot(m, rho))
+            if not (hit and damage == "unnormalized") and math.isfinite(total) and total > 0.0:
+                rho = rho / total
+        header = {"header N+1": f"{size + 1} 1.0", "header N-1": f"{size - 1} 1.0",
+                  "header 0": "0 1.0", "header -1": "-1 1.0",
+                  "header huge": "1000000000000 1.0", "header word": "N 1.0",
+                  "header no beta": f"{size}", "header extra": f"{size} 1.0 2.0",
+                  "header nan beta": f"{size} nan"}.get(damage if hit else "", f"{size} 1.0")
+        rows = [f"{i + 1} {fmt(m[i])} {fmt(pot[i])} {fmt(rho[i])}" for i in range(size)]
+        if hit and damage == "row short":
+            rows[k] = rows[k].rsplit(" ", 1)[0]
+        elif hit and damage == "row long":
+            rows[k] += " 1.0"
+        elif hit and damage == "row index":
+            rows[k] = f"{k + 2} " + rows[k].split(" ", 1)[1]
+        elif hit and damage == "row missing":
+            del rows[k]
+        elif hit and damage == "row blank":
+            rows[k] = ""
+        texts.append("\n".join([header, *rows]) + "\n")
+    return texts
+
+
+# Sweep grids of at most two points: keys with values they admit, keys of
+# every kind with values of every type, and grids that are no mapping or
+# are empty.
+_ADMITTED = {
+    "beta": st.floats(0.0, 3.0), "graph.N": st.integers(2, 6),
+    "dynamics.kind": st.sampled_from(["fpe", "phibar", "beta_zero", "master"]),
+    "dynamics.sign": st.sampled_from([-1.0, 1.0]),
+    "initial.kind": st.sampled_from(["uniform", "gibbs_perturbed"]),
+    "initial.epsilon": st.floats(0.0, 2.0),
+    "potential.kind": st.sampled_from(["constant", "linear", "random"]),
+    "integrator.rel_tol": st.floats(1e-10, 1e-3)}
+_ADMITTED_KEYS = st.sampled_from(sorted(_ADMITTED))
+_SWEEP_KEYS = st.sampled_from([
+    "beta", "graph.N", "graph.family", "dynamics.kind", "dynamics.sign", "initial.kind",
+    "initial.epsilon", "potential.kind", "potential.high", "integrator.rel_tol", "seed",
+    "write_states", "sweep", "graph", "nosuch", "", "graph..N", "beta.x"])
+_SWEEP_VALUES = st.one_of(
+    st.integers(-3, 8), st.floats(-2.0, 3.0),
+    st.sampled_from([None, True, False, "fpe", "phibar", "beta_zero", "master", "uniform",
+                     "random", "linear", "file", "geometric:q=0.5", "powerlaw:s=2.0", "abc",
+                     "", math.inf, math.nan, 1e300, [], {}, {"N": 6}, [1, [2]]]))
+_GRIDS = st.one_of(
+    st.builds(lambda grid, point: {**point, **grid},
+              _ADMITTED_KEYS.flatmap(lambda k: st.lists(_ADMITTED[k], min_size=1, max_size=2)
+                                     .map(lambda v: {k: v})),
+              st.just({}) | _ADMITTED_KEYS.flatmap(lambda k: _ADMITTED[k].map(lambda v: {k: v}))),
+    st.builds(lambda k, v: {k: v}, _SWEEP_KEYS,
+              st.one_of(_SWEEP_VALUES, st.lists(_SWEEP_VALUES, max_size=2))),
+    st.builds(lambda k1, v1, k2, v2: {k1: v1, k2: v2},
+              _SWEEP_KEYS, _SWEEP_VALUES, _SWEEP_KEYS, _SWEEP_VALUES),
+    st.sampled_from([{}, 5, "beta", [1, 2], None]))
+
+
+class TestEveryInputExits:
+    """Every input to ``talagrand``, ``metric``, ``w1`` and ``sweep`` ends
+    in exit 0, 2 or 3: main raises nothing. Sizes stay small (N <= 6,
+    knots <= 4, at most 2 samples or grid points), so no example starts
+    large work."""
+
+    @staticmethod
+    def _weights_file(tmp_path, n):
+        """Path of a file of n explicit weights: no tail, so every class
+        admits a cutoff."""
+        path = tmp_path / "w.txt"
+        path.write_text("0.5\n1.0\n2.0\n0.7\n1.3\n0.9\n"[:4 * n])
+        return path
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_NU_INF, _NU_SUP, _SAMPLES, st.integers(2, 6), st.integers(2, 4))
+    def test_talagrand_flags(self, tmp_path, nu_inf, nu_sup, samples, n, knots):
+        base = {"graph": {"family": f"explicit:file={self._weights_file(tmp_path, n)}", "N": n},
+                "potential": {"kind": "random", "low": -0.5, "high": 0.5},
+                "geodesic": {"knots": knots, "max_iters": 50}}
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        args = ["talagrand", "--config", tmp_path / "base.json", f"--nu-inf={nu_inf!r}",
+                f"--nu-sup={nu_sup!r}", f"--samples={samples}"]
+        assert TestOverrides._exit_code_in_fresh_dir(tmp_path, args, []) in (0, 2, 3)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["metric", "w1"]), _density_pair(), st.integers(2, 4))
+    def test_density_files(self, tmp_path, command, pair, knots):
+        for name, text in zip(("a.txt", "b.txt"), pair):
+            (tmp_path / name).write_text(text)
+        args = [command, "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt"]
+        pairs = [("geodesic.knots", knots), ("geodesic.max_iters", 50)]
+        assert TestOverrides._exit_code_in_fresh_dir(tmp_path, args, pairs) in (0, 2, 3)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_GRIDS)
+    def test_sweep_grids(self, tmp_path, grid):
+        base = {"graph": {"family": f"explicit:file={self._weights_file(tmp_path, 6)}", "N": 6},
+                "potential": {"kind": "random"},
+                "integrator": {"t_end": 0.5, "record_every": 0.05}, "sweep": grid}
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        args = ["sweep", "--config", tmp_path / "base.json"]
+        assert TestOverrides._exit_code_in_fresh_dir(tmp_path, args, []) in (0, 2, 3)
 
 
 class TestSweepCommand:

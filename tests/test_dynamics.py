@@ -19,6 +19,12 @@ def _spec(phi, beta, n=None, seed=0):
     return g.GraphSpec(weights=w, phi=phi, beta=beta)
 
 
+def _kind_rhs(kind, rho, spec):
+    """Right-hand side of ``kind`` as the integrator evaluates it; the
+    closure raises when the kind does not admit (beta, phi)."""
+    return g.TangentVector(dynamics._rhs_closure(kind, spec)(rho.rho), rho.weights)
+
+
 class TestFokkerPlanckRhs:
     def test_hand_example(self):
         spec = g.GraphSpec(weights=half_weights(), phi=np.array([0.0, 1.0]), beta=1.0)
@@ -27,11 +33,15 @@ class TestFokkerPlanckRhs:
         np.testing.assert_allclose(out.sigma, [0.5, -0.5], rtol=1e-15)
 
     def test_constant_potential_reduces_to_master(self):
+        # beta sum_j m_j (rho_j - rho_i) = beta (1 - rho_i), as sum_j m_j = 1
+        # and sum_j m_j rho_j = 1
         spec = _spec(np.full(7, 0.3), beta=1.7, seed=5)
         rho = random_interior(5, spec.weights)
+        expect = spec.beta * (1.0 - rho.rho)
         a = g.fokker_planck_rhs(rho, spec).sigma
-        b = g.master_equation_rhs(rho, spec).sigma
-        np.testing.assert_allclose(a, b, atol=1e-13)
+        b = _kind_rhs("master", rho, spec).sigma
+        np.testing.assert_allclose(a, expect, atol=1e-13)
+        np.testing.assert_allclose(b, expect, atol=1e-13)
 
     @pytest.mark.parametrize("seed,n,beta", [(0, 2, 0.5), (1, 5, 1.0), (2, 50, 2.0)])
     def test_gibbs_is_stationary(self, seed, n, beta):
@@ -66,19 +76,20 @@ class TestZeroDiffusionRhs:
     def test_constant_potential_is_zero(self):
         spec = _spec(np.zeros(5), beta=0.0)
         rho = random_interior(0, spec.weights)
-        np.testing.assert_array_equal(g.zero_diffusion_rhs(rho, spec).sigma, 0.0)
+        np.testing.assert_array_equal(g.fokker_planck_rhs(rho, spec).sigma, 0.0)
+        np.testing.assert_array_equal(_kind_rhs("beta_zero", rho, spec).sigma, 0.0)
 
     def test_mass_flows_toward_minimum(self):
         spec = _spec([0.0, 1.0, 2.0], beta=0.0)
         rho = g.Density.normalized(np.array([0.1, 0.1, 2.8]), spec.weights)
-        out = g.zero_diffusion_rhs(rho, spec)
+        out = g.fokker_planck_rhs(rho, spec)
         assert out.sigma[0] >= 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_agrees_with_full_rhs_at_beta_zero(self, seed):
         spec = random_instance(seed, 9, beta=0.0)
         rho = random_interior(seed, spec.weights)
-        a = g.zero_diffusion_rhs(rho, spec).sigma
+        a = _kind_rhs("beta_zero", rho, spec).sigma
         b = g.fokker_planck_rhs(rho, spec).sigma
         np.testing.assert_allclose(a, b, atol=1e-14 * (1 + np.abs(a).max()))
 
@@ -86,7 +97,7 @@ class TestZeroDiffusionRhs:
         spec = _spec([0.0, 1.0], beta=0.5)
         rho = g.Density(np.ones(2), spec.weights)
         with pytest.raises(ValueError):
-            g.zero_diffusion_rhs(rho, spec)
+            _kind_rhs("beta_zero", rho, spec)
 
 
 class TestEffectivePotentialRhs:
@@ -154,9 +165,13 @@ class TestTangentValidity:
                 beta = float(rng.uniform(0.2, 2.0))
             spec = g.GraphSpec(weights=w, phi=phi, beta=beta)
             rho = g.Density.normalized(np.exp(rng.uniform(-0.7, 0.7, n)), w)
-            fn = {"fpe": g.fokker_planck_rhs, "phibar": g.effective_potential_rhs,
-                  "beta_zero": g.zero_diffusion_rhs, "master": g.master_equation_rhs}[kind]
-            out = fn(rho, spec)  # TangentVector construction enforces 1e-12
+            if kind == "fpe":
+                out = g.fokker_planck_rhs(rho, spec)
+            elif kind == "phibar":
+                out = g.effective_potential_rhs(rho, spec)
+            else:
+                out = _kind_rhs(kind, rho, spec)
+            # TangentVector construction enforces 1e-12
             worst = max(worst,
                         abs(float(np.dot(w.m, out.sigma))) / (1 + out.norm_inf))
         assert worst <= 1e-12
