@@ -21,7 +21,7 @@ _EXPORTS = {
                      "talagrand_constants", "verify_talagrand", "verify_w1_bound",
                      "w1_distance"),
     "metric": ("GeodesicConfig", "GeodesicResult", "apply_mobility", "geodesic_distance",
-               "invert_mobility", "kernel_dimension_check", "log_mean", "metric_inner",
+               "invert_mobility", "kernel_dimension_check", "metric_inner",
                "norm_equivalence_check"),
     "simplex": ("ConstantsReport", "Density", "TangentVector", "free_energy", "gibbs",
                 "invariant_constants", "l2m_norm_sq", "project_tangent",

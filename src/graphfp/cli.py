@@ -103,6 +103,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:   # ConfigError and TruncationError among them
         print(f"graphfp: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        print("graphfp: out of memory: the run needs more memory than is available",
+              file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def entry():

@@ -143,7 +143,6 @@ class IntegratorConfig:
     record_every: float = 0.05
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = math.inf
     positivity_floor: float = 1e-13
 
     def __post_init__(self):
@@ -153,7 +152,7 @@ class IntegratorConfig:
             raise ValueError("record_every must lie in (0, t_end]")
         if self.t_end / self.record_every > MAX_RECORDS:
             raise ValueError(f"t_end / record_every must not exceed {MAX_RECORDS} records")
-        for name in ("rel_tol", "abs_tol", "max_step", "positivity_floor"):
+        for name in ("rel_tol", "abs_tol", "positivity_floor"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
 
@@ -210,16 +209,16 @@ def _initial_step(y0, f0, config):
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
     d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
     h0 = 0.01 * d0 / d1 if d1 > 0.0 else config.record_every
-    return min(h0, config.max_step, config.t_end)
+    return min(h0, config.t_end)
 
 
 def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfig,
               sign: float = -1.0) -> TrajectoryRecord:
     """Advance one trajectory with an adaptive embedded Runge-Kutta pair.
 
-    Step sizes follow the error tolerances, bounded only by ``max_step``
-    and the last record time; the record times a step covers are filled
-    from the pair's 4th-order dense output. A step is rejected and h halved
+    Step sizes follow the error tolerances, bounded only by the last
+    record time; the record times a step covers are filled from the
+    pair's 4th-order dense output. A step is rejected and h halved
     whenever a stage state or an interpolated record falls below the
     positivity floor or is not finite; a failed error estimate shrinks h by
     the usual controller. Every recorded state must carry unit mass within
@@ -249,10 +248,8 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
     snapshots = [y.copy()]
     nxt = 1  # index of the first record time not yet filled
     while t < t_final:
-        h_use = min(h, config.max_step)
-        last = t + h_use >= t_final * (1.0 - 1e-14)
-        if last:
-            h_use = t_final - t
+        last = t + h >= t_final * (1.0 - 1e-14)
+        h_use = t_final - t if last else h
         if h_use < 1e-14 * max(1.0, abs(t)):
             raise StiffnessError(
                 f"step size underflow at t={t!r} (h={h_use!r})", t=t, state=y.copy()
@@ -339,7 +336,7 @@ def _build_record(kind, spec, times, snapshots, sign, stats):
         except ValueError as exc:
             raise InvariantBreachError(f"recorded state at t={t!r} invalid: {exc}") from exc
         states.append(state)
-        F.append(free_energy(state, spec, allow_boundary=spec.beta == 0.0))
+        F.append(free_energy(state, spec))
         L.append(relative_energy(state, rho_star) if rho_star is not None else math.nan)
         mass.append(state.mass())
         lo.append(state.inf)
@@ -499,18 +496,17 @@ def _check_linf_master(traj):
 
 
 def _check_dissipation(traj):
-    """Gradient-flow identity dF/dt = -g(sigma, sigma) along sigma = f(rho).
+    """Gradient-flow identity dF/dt = -g(sigma, sigma) along the flow
+    sigma = -L(rho) u, u = phi + beta log rho, of a gradient-flow run.
 
     By the chain rule dF/dt = sum_i m_i (phi_i + beta (log rho_i + 1)) sigma_i,
-    and the constant drops out because sigma is mean-free. The flow is
-    sigma = -L(rho) u with u = phi + beta log rho, so the identity holds
-    exactly when the right-hand side is that product and the metric inverts
-    the same operator, which is built once for the trajectory. It is
-    checked at every recorded time whose dissipation is above the noise
-    floor.
+    and the constant drops out because sigma is mean-free. One operator,
+    built once for the trajectory, gives sigma (:meth:`MobilityOperator.flow`,
+    the right-hand side the run integrated) and the metric that inverts
+    L(rho), so the identity holds exactly. It is checked at every recorded
+    time whose dissipation is above the noise floor.
     """
     spec = traj.spec
-    f = _rhs_closure(traj.kind, spec, traj.sign)
     phi = spec.phi
     op = MobilityOperator(phi, spec.m)
     worst = 0.0
@@ -518,7 +514,7 @@ def _check_dissipation(traj):
     for k, state in enumerate(traj.states):
         if not state.interior:
             continue
-        sig = f(state.rho)
+        sig = op.flow(state.rho, spec.beta)
         tv = TangentVector(sig, spec.weights, mean_tol=1e-9)
         g = metric_inner(state, op, tv, tv)
         if g < 1e-8 * (1.0 + abs(traj.F_values[k])):

@@ -26,41 +26,16 @@ from .simplex import Density, TangentVector, l2m_norm_sq
 INVERT_RTOL = 1e-10
 # Eigenvalues below this fraction of the largest count as kernel.
 KERNEL_RTOL = 1e-10
+# Columns of L(rho) the kernel check takes per operator call; one call for
+# all N columns would hold Q x N x N tie terms.
+_KERNEL_BLOCK = 32
 
 # Most path entries, (knots + 1) x N, one geodesic call may hold: the
 # descent keeps about twenty arrays of that shape, some 350 MB at the bound.
 MAX_PATH_ENTRIES = 2 * 10 ** 6
 
-# Relative spread below which the logarithmic mean switches to its series.
-_LOG_MEAN_SWITCH = 1e-8
 # Relative error bound of the Gauss-Legendre rule on tie groups: half an ulp.
 _RULE_TOL = 2.0 ** -53
-
-
-def _log_ratio(a, b):
-    """log(a / b) as log1p of the gap relative to the smaller argument:
-    a few ulp also when a and b nearly agree, where log a - log b cancels."""
-    r = np.log1p(np.abs(a - b) / np.minimum(a, b))
-    return np.where(a < b, -r, r)
-
-
-def log_mean(a, b):
-    """Logarithmic mean (a - b) / (log a - log b) for positive arguments.
-
-    Near a = b the quotient is 0/0, so a Taylor series in
-    d = (a - b)/(a + b) takes over:  s * (1 - d^2/3 - 4 d^4/45) with
-    s = (a + b)/2.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s = 0.5 * (a + b)
-    d = (a - b) / (a + b)
-    near = np.abs(a - b) <= _LOG_MEAN_SWITCH * np.maximum(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (a - b) / _log_ratio(a, b)
-    d2 = d * d
-    series = s * (1.0 - d2 / 3.0 - 4.0 * d2 * d2 / 45.0)
-    return np.where(near, series, direct)
 
 
 @functools.cache
@@ -331,14 +306,6 @@ class MobilityOperator:
         h = a + (vbar * below / upto)[:, g] * cc - (below * dg)[:, g] * b
         return np.array([h, dg[:, g] * self._tie_first]).swapaxes(0, 1)
 
-    def tau(self, rho):
-        """Dense mobility matrix tau_ij, stacked over the leading axes of rho."""
-        rank = self._unsort(self._group)
-        rho = np.asarray(rho, dtype=float)
-        ri, rj = rho[..., :, None], rho[..., None, :]
-        return np.where(rank[:, None] > rank[None, :], ri,
-                        np.where(rank[:, None] < rank[None, :], rj, log_mean(ri, rj)))
-
     def below_sq(self, p):
         """sum over j strictly below i of m_j (p_i - p_j)^2, along the last axis."""
         ps = p[..., self.order]
@@ -454,16 +421,23 @@ def norm_equivalence_check(rho: Density, phi, sigma: TangentVector) -> NormEquiv
 
 def kernel_dimension_check(rho: Density, phi) -> int:
     """Number of near-zero eigenvalues of the mobility Laplacian (weighted
-    inner product); exactly one -- the constants direction -- is expected."""
+    inner product); exactly one -- the constants direction -- is expected.
+
+    L(rho) is read off :class:`MobilityOperator`, ``_KERNEL_BLOCK`` unit
+    vectors per call, and made symmetric as sqrt(m_i) L_ij / sqrt(m_j);
+    the eigensolve reads its lower triangle.
+    """
     rho.require_interior("kernel check")
     n = rho.rho.size
     if n > 500:
         raise ValueError("dense eigensolve budget is N <= 500")
-    m = rho.weights.m
-    op = MobilityOperator(phi, m)
-    sq = np.sqrt(m)
-    tau = op.tau(rho.rho)
-    sym = np.diag(tau @ m) - tau * (sq[:, None] * sq[None, :])
+    op = MobilityOperator(phi, rho.weights.m)
+    sq = np.sqrt(rho.weights.m)
+    sym = np.empty((n, n))
+    for j in range(0, n, _KERNEL_BLOCK):
+        unit = np.eye(min(_KERNEL_BLOCK, n - j), n, j)
+        cols = op.apply(np.broadcast_to(rho.rho, unit.shape), unit)   # row k: L e_(j+k)
+        sym[:, j:j + len(unit)] = (cols * sq / sq[j:j + len(unit), None]).T
     evals = np.linalg.eigvalsh(sym)
     top = float(np.abs(evals).max())
     if not math.isfinite(top) or top == 0.0:

@@ -124,11 +124,16 @@ def gibbs(spec: GraphSpec) -> Density:
     """The stationary state rho*_i = exp(-phi_i/beta) / sum_j m_j exp(-phi_j/beta).
 
     The exponent is shifted by its maximum before exponentiation so large
-    potential ranges cannot overflow.
+    potential ranges cannot overflow; a beta so small that -phi/beta itself
+    overflows raises ValueError.
     """
     if spec.beta <= 0.0:
         raise ValueError("Gibbs state is undefined for beta = 0")
-    a = -spec.phi / spec.beta
+    with np.errstate(over="ignore"):
+        a = -spec.phi / spec.beta
+    if not np.isfinite(a).all():
+        raise ValueError(f"beta={spec.beta!r} is too small for this potential: "
+                         "the Gibbs state exponent -phi/beta overflows")
     a = a - a.max()
     w = np.exp(a)
     z = float(np.dot(spec.m, w))
@@ -138,26 +143,18 @@ def gibbs(spec: GraphSpec) -> Density:
     return Density(rho, spec.weights)
 
 
-def free_energy(rho: Density, spec: GraphSpec, allow_boundary: bool = False) -> float:
+def free_energy(rho: Density, spec: GraphSpec) -> float:
     """Potential energy plus beta times entropy:
     sum_i m_i phi_i rho_i + beta * sum_i m_i rho_i log rho_i.
 
-    For beta > 0 the entropy term needs an interior density; pass
-    ``allow_boundary=True`` to apply the 0 log 0 = 0 convention instead.
+    For beta > 0 the entropy term needs an interior density.
     """
     r = rho.rho
     pot = float(np.dot(spec.m, spec.phi * r))
     if spec.beta == 0.0:
         return pot
-    if rho.interior:
-        ent = float(np.dot(spec.m, r * np.log(r)))
-    elif allow_boundary:
-        pos = r > 0.0
-        ent = float(np.dot(spec.m[pos], r[pos] * np.log(r[pos])))
-    else:
-        raise ValueError("free energy with beta > 0 requires an interior density "
-                         "(or allow_boundary=True)")
-    return pot + spec.beta * ent
+    rho.require_interior("free energy with beta > 0")
+    return pot + spec.beta * float(np.dot(spec.m, r * np.log(r)))
 
 
 def relative_entropy(nu: Density, mu: Density) -> float:

@@ -1,17 +1,47 @@
 """Dense N x N reference formulas for the sorted-order mobility operator.
 
 Every quantity is built from the full pairwise mobility matrix with
-explicit potential-order masks, one pair at a time, so it shares no
-summation order or tie bookkeeping with :mod:`graphfp.metric`. The tests
-compare the library against these formulas.
+explicit potential-order masks and the closed-form logarithmic mean on
+ties, one pair at a time, so it shares no summation order, log-mean rule
+or tie bookkeeping with :mod:`graphfp.metric`. The tests compare the
+library against these formulas.
 """
 
 import numpy as np
 
-from graphfp.metric import _log_ratio, invert_mobility, log_mean
+from graphfp.metric import KERNEL_RTOL, invert_mobility
 
+# Relative spread below which the logarithmic mean switches to its series.
+_LOG_MEAN_SWITCH = 1e-8
 # |d| below which the log-mean partial switches to its series.
 _PARTIAL_SWITCH = 1e-2
+
+
+def _log_ratio(a, b):
+    """log(a / b) as log1p of the gap relative to the smaller argument:
+    a few ulp also when a and b nearly agree, where log a - log b cancels."""
+    r = np.log1p(np.abs(a - b) / np.minimum(a, b))
+    return np.where(a < b, -r, r)
+
+
+def log_mean(a, b):
+    """Logarithmic mean (a - b) / (log a - log b) for positive arguments,
+    in closed form.
+
+    Near a = b the quotient is 0/0, so a Taylor series in
+    d = (a - b)/(a + b) takes over:  s * (1 - d^2/3 - 4 d^4/45) with
+    s = (a + b)/2.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    s = 0.5 * (a + b)
+    d = (a - b) / (a + b)
+    near = np.abs(a - b) <= _LOG_MEAN_SWITCH * np.maximum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (a - b) / _log_ratio(a, b)
+    d2 = d * d
+    series = s * (1.0 - d2 / 3.0 - 4.0 * d2 * d2 / 45.0)
+    return np.where(near, series, direct)
 
 
 def log_mean_partial(a, b):
@@ -43,6 +73,16 @@ def tau(rho, phi):
     lt = phi[:, None] < phi[None, :]
     ri, rj = rho[..., :, None], rho[..., None, :]
     return np.where(gt, ri, np.where(lt, rj, log_mean(ri, rj)))
+
+
+def kernel_dimension(rho, phi, m):
+    """Eigenvalues of diag(tau m) - tau o sqrt(m) sqrt(m)^T, the mobility
+    Laplacian in the weighted inner product, below ``KERNEL_RTOL`` of the
+    largest in magnitude."""
+    sq = np.sqrt(m)
+    t = tau(rho, phi)
+    evals = np.linalg.eigvalsh(np.diag(t @ m) - t * (sq[:, None] * sq[None, :]))
+    return int(np.sum(np.abs(evals) < KERNEL_RTOL * np.abs(evals).max()))
 
 
 def mobility_weights(rho, phi):

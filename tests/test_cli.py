@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,7 +153,6 @@ class TestTypedValues:
         assert config["graph"]["N"] == 8 and type(config["graph"]["N"]) is int
         assert config["beta"] == 1.0 and type(config["beta"]) is float
         assert config["geodesic"]["grad_tol"] == 1e-9
-        assert config["integrator"]["max_step"] == "inf"
         assert "init" not in config["geodesic"]
 
 
@@ -313,6 +313,24 @@ seed: 0
         assert "initial.epsilon" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_denormal_beta_is_named(self, tmp_path, capsys):
+        # -phi/beta overflows: exit 2 naming beta and the Gibbs state, and
+        # no numpy warning on the way (one would raise here)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gibbs", "--config", "configs/decay.yaml", "--set", "beta=5e-324",
+                        "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "beta=5e-324" in err and "Gibbs state" in err
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "gibbs", exhausted)
+        assert run(["gibbs", *SMALL_SET, "--out", tmp_path / "out"]) == 3
+        assert "out of memory" in capsys.readouterr().err
+
     def test_beta_zero_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, BASE.format(
             n=12, pot="constant", beta=0.0, eps=0.5, t_end=1.0, rec=0.1,
@@ -410,6 +428,7 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", cfg, "--set", "integrator.tend=0.1"]) == 2
         assert run(["simulate", "--config", cfg, "--set", "colour=red"]) == 2
         assert run(["simulate", "--config", cfg, "--set", "workers=2"]) == 2
+        assert run(["simulate", "--config", cfg, "--set", "integrator.max_step=1"]) == 2
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_reference_is_config_error(self, tmp_path):

