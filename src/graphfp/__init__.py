@@ -12,8 +12,8 @@ _EXPORTS = {
     "dynamics": ("IntegratorConfig", "MonitorReport", "TrajectoryRecord",
                  "decay_rate_fit", "effective_potential_rhs", "fokker_planck_rhs",
                  "integrate", "monitor"),
-    "errors": ("ConvergenceError", "InsufficientDataError", "InvariantBreachError",
-               "NearTieWarning", "StiffnessError", "TruncationError"),
+    "errors": ("ConvergenceError", "InsufficientDataError", "InvalidRowError",
+               "InvariantBreachError", "NearTieWarning", "StiffnessError", "TruncationError"),
     "graph": ("GraphSpec", "WeightFamily", "WeightSequence", "build_weights",
               "estimate_tail_cutoff", "from_locally_finite", "min_weight_prefix",
               "parse_weight_family"),

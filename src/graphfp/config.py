@@ -219,10 +219,11 @@ class ExperimentConfig:
             p = self.graph.family.split("=", 1)[1]
             if not os.path.exists(p):
                 raise ConfigError(f"weight file {p!r} does not exist")
-        # rng.uniform raises OverflowError on an infinite range
-        for name, val in (("potential.low", self.potential.low),
-                          ("potential.high", self.potential.high),
-                          ("initial.epsilon", self.initial.epsilon)):
+        # rng.uniform raises OverflowError on an infinite bound or range
+        low, high, eps = self.potential.low, self.potential.high, self.initial.epsilon
+        for name, val in (("potential.low", low), ("potential.high", high),
+                          ("initial.epsilon", eps), ("2 * initial.epsilon", 2.0 * eps),
+                          ("potential.high - potential.low", high - low)):
             if not math.isfinite(val):
                 raise ConfigError(f"{name} must be finite, got {val!r}")
 

@@ -5,6 +5,16 @@ class TruncationError(ValueError):
     """The stored truncation is too short for the requested tail bound."""
 
 
+class InvalidRowError(ValueError):
+    """A density or tangent vector, or one row of a stack of them, fails its
+    check; ``row`` is the row's flat index over the leading axes of the
+    stack, 0 for a single vector."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
+
+
 class InsufficientDataError(ValueError):
     """Not enough usable points for a statistical fit."""
 

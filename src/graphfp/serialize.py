@@ -97,23 +97,24 @@ def trajectory_to_csv(path, traj, meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_csv_header_comment(meta))
         fh.write("t,mass,F,L,inf_rho,sup_rho\n")
-        for k in range(len(traj)):
-            row = (traj.times[k], traj.mass_values[k], traj.F_values[k],
-                   traj.L_values[k], traj.inf_values[k], traj.sup_values[k])
+        states = traj.states
+        for row in zip(traj.times, states.mass(), traj.F_values, traj.L_values, states.inf,
+                       states.sup):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def snapshots_to_csv(outdir, traj, meta: dict | None = None) -> list:
-    """Per-vertex snapshot files state_<k>.csv with rows ``i, rho_i``."""
+    """Per-vertex snapshot files state_<k>.csv with rows ``i, rho_i``, one
+    per row of the stacked ``traj.states``."""
     header = _csv_header_comment(meta) + "i,rho_i\n"
+    states = traj.states.rho
     # One row template for all files: %r of a Python float is fmt's repr.
-    n = len(traj.states[0].rho) if traj.states else 0
-    rows = "".join(f"{i},%r\n" for i in range(1, n + 1))
+    rows = "".join(f"{i},%r\n" for i in range(1, states.shape[-1] + 1))
     paths = []
-    for k, state in enumerate(traj.states):
+    for k, rho in enumerate(states):
         p = os.path.join(outdir, f"state_{k}.csv")
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + rows % tuple(state.rho.tolist()))
+            fh.write(header + rows % tuple(rho.tolist()))
         paths.append(p)
     return paths
 

@@ -65,9 +65,8 @@ def fd_dissipation(traj, samples=20):
     spec = traj.spec
     f = _rhs_closure(traj.kind, spec, traj.sign)
     candidates = []
-    for k, state in enumerate(traj.states):
-        if not state.interior:
-            continue
+    for k in np.flatnonzero(traj.states.interior):
+        state = traj.states.rows(k)
         tv = g.TangentVector(f(state.rho), spec.weights, mean_tol=1e-9)
         gk = g.metric_inner(state, spec.phi, tv, tv)
         if gk >= 1e-8 * (1.0 + abs(traj.F_values[k])):
@@ -80,7 +79,7 @@ def fd_dissipation(traj, samples=20):
     worst, completed = 0.0, 0
     for k, gk in candidates:
         try:
-            slope = fd_slope(f, spec, traj.states[k].rho, h0)
+            slope = fd_slope(f, spec, traj.states.rho[k], h0)
         except FloatingPointError:
             continue
         completed += 1

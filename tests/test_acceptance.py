@@ -145,9 +145,9 @@ def test_02_mass_conservation(decay_runs, side_runs):
     runs, _ = decay_runs
     worst = 0.0
     for _, traj, _, _ in runs:
-        worst = max(worst, float(np.abs(traj.mass_values - 1.0).max()))
+        worst = max(worst, float(np.abs(traj.states.mass() - 1.0).max()))
     for traj in side_runs:
-        worst = max(worst, float(np.abs(traj.mass_values - 1.0).max()))
+        worst = max(worst, float(np.abs(traj.states.mass() - 1.0).max()))
     _report(2, "mass conservation", worst <= 1e-10, f"(max drift {worst:.2e})")
 
 
@@ -224,7 +224,7 @@ def test_07_master_equation(side_runs):
     for t_probe in (0.5, 1.0, 2.0):
         k = int(np.argmin(np.abs(traj.times - t_probe)))
         expect = np.array([1 + 0.5 * math.exp(-t_probe), 1 - 0.5 * math.exp(-t_probe)])
-        worst = max(worst, float(np.abs(traj.states[k].rho - expect).max()))
+        worst = max(worst, float(np.abs(traj.states.rho[k] - expect).max()))
     sup_margin = math.inf
     count = 0
     for traj_m in side_runs:

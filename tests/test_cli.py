@@ -166,6 +166,18 @@ class TestOverrides:
                     "--out", tmp_path / "out"]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, key", [
+        (["potential.low=-1e308", "potential.high=1e308"], "potential.high - potential.low"),
+        (["initial.epsilon=1e308"], "2 * initial.epsilon")])
+    def test_overflowing_uniform_range_is_named(self, tmp_path, capsys, overrides, key):
+        # finite bounds whose range overflows: rng.uniform would raise
+        # OverflowError, a traceback and exit 1
+        args = [arg for item in overrides for arg in ("--set", item)]
+        assert run(["gibbs", "--config", "configs/decay.yaml", *args,
+                    "--out", tmp_path / "out"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("override", ["initial={}", "graph={N: 9}"])
     def test_mapping_merges_into_its_section(self, tmp_path, override):
         assert run(["gibbs", *SMALL_SET, "--set", override, "--out", tmp_path]) == 0
@@ -266,15 +278,14 @@ class TestSnapshotFiles:
     def test_bytes_match_the_per_value_formatter(self, tmp_path):
         values = np.array([0.1 + 0.2, 1e-300, 5e-324, 1e16, 1.0, 2.0 / 3.0, -0.0, 1e-5,
                            123456789.125, 1.7976931348623157e308])
-        traj = SimpleNamespace(states=[SimpleNamespace(rho=values),
-                                       SimpleNamespace(rho=values[::-1] / 3.0)])
+        traj = SimpleNamespace(states=SimpleNamespace(rho=np.array([values, values[::-1] / 3.0])))
         meta = {"config": {"outputs": "100%s %d %r"}, "seed": 1}  # '%' stays literal
         paths = snapshots_to_csv(tmp_path, traj, meta)
         header = _csv_header_comment(meta) + "i,rho_i\n"
         assert len(paths) == 2
-        for path, state in zip(paths, traj.states):
+        for path, rho in zip(paths, traj.states.rho):
             with open(path, "rb") as fh:
-                assert fh.read() == (header + _per_value_rows(state.rho)).encode()
+                assert fh.read() == (header + _per_value_rows(rho)).encode()
 
 
 class TestGibbsCommand:
@@ -383,6 +394,17 @@ class TestSimulateCommand:
         assert time.perf_counter() - start < 1.0
         assert "integrator.record_every" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_denormal_beta_on_constant_potential_runs(self, tmp_path):
+        # beta * min weight underflows to 0 while the potential's sup norm
+        # is 0: the constants' quotients once raised ZeroDivisionError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--config", "configs/decay.yaml", "--set", "beta=5e-324",
+                        "--set", "potential.kind=constant", "--out", tmp_path / "out"]) == 0
+        body = json.loads((tmp_path / "out" / "simulate.json").read_text())
+        assert body["constants"]["decay_rate"] == 0.0
+        assert body["monitor_all_passed"] is True
 
     def test_master_mode_checks_sup_norm(self, tmp_path):
         assert run(["simulate", "--config", "configs/master.yaml",
@@ -723,13 +745,15 @@ _ADMITTED = {
 _ADMITTED_KEYS = st.sampled_from(sorted(_ADMITTED))
 _SWEEP_KEYS = st.sampled_from([
     "beta", "graph.N", "graph.family", "dynamics.kind", "dynamics.sign", "initial.kind",
-    "initial.epsilon", "potential.kind", "potential.high", "integrator.rel_tol", "seed",
+    "initial.epsilon", "potential.kind", "potential.low", "potential.high",
+    "integrator.rel_tol", "seed",
     "write_states", "sweep", "graph", "nosuch", "", "graph..N", "beta.x"])
 _SWEEP_VALUES = st.one_of(
     st.integers(-3, 8), st.floats(-2.0, 3.0),
     st.sampled_from([None, True, False, "fpe", "phibar", "beta_zero", "master", "uniform",
                      "random", "linear", "file", "geometric:q=0.5", "powerlaw:s=2.0", "abc",
-                     "", math.inf, math.nan, 1e300, [], {}, {"N": 6}, [1, [2]]]))
+                     "", math.inf, math.nan, 1e300, 1.7e308, -1.7e308, [], {}, {"N": 6},
+                     [1, [2]]]))
 _GRIDS = st.one_of(
     st.builds(lambda grid, point: {**point, **grid},
               _ADMITTED_KEYS.flatmap(lambda k: st.lists(_ADMITTED[k], min_size=1, max_size=2)

@@ -8,7 +8,7 @@ import pytest
 import graphfp as g
 from graphfp import dynamics
 from graphfp.dynamics import monitor
-from graphfp.errors import InsufficientDataError, StiffnessError
+from graphfp.errors import InsufficientDataError, InvariantBreachError, StiffnessError
 from helpers import explicit_weights, half_weights, perturbed_gibbs, random_instance, \
     random_interior
 
@@ -183,7 +183,7 @@ class TestIntegrate:
         star = g.gibbs(spec)
         traj = g.integrate("fpe", star, spec,
                            g.IntegratorConfig(t_end=10.0, record_every=0.5))
-        drift = max(np.abs(s.rho - star.rho).max() for s in traj.states)
+        drift = np.abs(traj.states.rho - star.rho).max()
         assert drift <= 1e-9
 
     def test_master_two_state_closed_form(self):
@@ -194,14 +194,14 @@ class TestIntegrate:
                            g.IntegratorConfig(t_end=2.0, record_every=0.25))
         k = int(np.argmin(np.abs(traj.times - 1.0)))
         expect = np.array([1 + 0.5 * math.exp(-1.0), 1 - 0.5 * math.exp(-1.0)])
-        np.testing.assert_allclose(traj.states[k].rho, expect, atol=1e-6)
+        np.testing.assert_allclose(traj.states.rho[k], expect, atol=1e-6)
 
     def test_mass_conserved_at_all_records(self):
         spec = random_instance(2, 25, beta=0.5)
         rho0 = perturbed_gibbs(spec, 0.5, 3)
         traj = g.integrate("fpe", rho0, spec,
                            g.IntegratorConfig(t_end=4.0, record_every=0.05))
-        assert np.abs(traj.mass_values - 1.0).max() <= 1e-10
+        assert np.abs(traj.states.mass() - 1.0).max() <= 1e-10
 
     def test_record_grid_hits_t_end(self):
         spec = random_instance(3, 6, beta=1.0)
@@ -275,9 +275,9 @@ class TestDenseOutput:
         else:
             assert traj.stats.accepted > 2 * len(traj)   # several steps per record
         np.testing.assert_array_equal(traj.times, ref.times)
-        for got, want in zip(traj.states, ref.states):
-            bound = 10.0 * (cfg.abs_tol + cfg.rel_tol * np.abs(want.rho))
-            assert np.all(np.abs(got.rho - want.rho) <= bound)
+        want = ref.states.rho
+        bound = 10.0 * (cfg.abs_tol + cfg.rel_tol * np.abs(want))
+        assert np.all(np.abs(traj.states.rho - want) <= bound)
 
     def test_interpolation_matrix_is_the_dormand_prince_one(self):
         rk = pytest.importorskip("scipy.integrate._ivp.rk")
@@ -293,7 +293,7 @@ class TestDenseOutput:
         monkeypatch.setattr(dynamics, "_DP_P", 1e3 * dynamics._DP_P)
         traj = g.integrate("fpe", rho0, spec, cfg)
         assert traj.stats.rejected["positivity"] > 0
-        assert min(traj.inf_values) >= cfg.positivity_floor
+        assert traj.states.inf.min() >= cfg.positivity_floor
 
     def test_rhs_count_on_the_decay_run(self):
         # 494 evaluations when every record time ended a step, 133 now
@@ -348,13 +348,44 @@ class TestMonitor:
         assert not rep.checks["free_energy_decrease"].skipped
         assert not rep.checks["relative_energy_decrease"].skipped
 
+    def test_dissipation_inverts_once_per_block(self, monkeypatch):
+        spec = random_instance(6, 12, beta=1.0)
+        traj = g.integrate("fpe", perturbed_gibbs(spec, 0.5, 7), spec,
+                           g.IntegratorConfig(t_end=1.0, record_every=0.05))
+        rows = []
+        real = dynamics.metric_inner
+
+        def counted(rho, *args):
+            rows.append(len(rho.rho))
+            return real(rho, *args)
+
+        monkeypatch.setattr(dynamics, "metric_inner", counted)
+        whole = monitor(traj, None).checks["dissipation_identity"]
+        assert rows == [len(traj)]           # 21 records x N=12 fit in one block
+        rows.clear()
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 5 * 12)
+        blocked = monitor(traj, None).checks["dissipation_identity"]
+        assert rows == [5, 5, 5, 5, 1]
+        assert (blocked.margin, blocked.detail) == (whole.margin, whole.detail)
+
+    def test_record_off_the_mass_slice_names_its_time(self, monkeypatch):
+        # a right-hand side that leaks mass: the record at t=0.05 is the
+        # first off the unit-mass slice by more than 1e-10
+        monkeypatch.setattr(dynamics, "_rhs_closure", lambda kind, spec, sign: lambda y: -1e-6 * y)
+        spec = random_instance(2, 10, beta=1.0)
+        with pytest.raises(InvariantBreachError,
+                           match="^recorded state at t=0.05 invalid: row 1: density mass"):
+            g.integrate("fpe", g.gibbs(spec), spec,
+                        g.IntegratorConfig(t_end=1.0, record_every=0.05))
+
     def test_dissipation_counts_completed_samples(self):
         spec = random_instance(6, 12, beta=1.0)
         rho0 = perturbed_gibbs(spec, 0.5, 7)
         traj = g.integrate("fpe", rho0, spec,
                            g.IntegratorConfig(t_end=1.0, record_every=0.05))
         above = 0
-        for state, F in zip(traj.states, traj.F_values):
+        for k, F in enumerate(traj.F_values):
+            state = traj.states.rows(k)
             sig = g.fokker_planck_rhs(state, spec)
             if g.metric_inner(state, spec.phi, sig, sig) >= 1e-8 * (1.0 + abs(F)):
                 above += 1

@@ -87,6 +87,30 @@ def test_apply_stacks_over_leading_axes(ties):
         _close(row, dense_oracle.matvec(r, spec.phi, spec.m, p))
 
 
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("spread", [0.7, 5.0])
+def test_stacked_calls_equal_their_rows_bitwise(ties, spread):
+    # the monitor's one stacked flow, inversion and metric per block: each
+    # row equals its own call bit for bit, with and without ties, for
+    # densities spanning e^(+-0.7) and e^(+-5)
+    spec, _ = _instance(40, 9, ties)
+    rng = np.random.default_rng(9)
+    rhos = g.Density.normalized(np.exp(rng.uniform(-spread, spread, (6, 40))), spec.weights)
+    op = MobilityOperator(spec.phi, spec.m)
+    sig = op.flow(rhos.rho, spec.beta)
+    tv = g.TangentVector(sig, spec.weights, mean_tol=1e-9)
+    p = g.invert_mobility(rhos, op, tv)
+    metric = g.metric_inner(rhos, op, tv, tv)
+    assert sig.shape == p.shape == (6, 40) and metric.shape == (6,)
+    for k in range(6):
+        row = rhos.rows(k)
+        sig_k = op.flow(row.rho, spec.beta)
+        tv_k = g.TangentVector(sig_k, spec.weights, mean_tol=1e-9)
+        np.testing.assert_array_equal(sig[k], sig_k)
+        np.testing.assert_array_equal(p[k], g.invert_mobility(row, op, tv_k))
+        assert metric[k] == g.metric_inner(row, op, tv_k, tv_k)
+
+
 def test_rows_of_a_stack_get_their_own_rule():
     # the rows' densities span e^(+-0.1) .. e^(+-3): their tie groups need
     # rules of several sizes, and each row matches its own single call

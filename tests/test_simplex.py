@@ -2,14 +2,17 @@
 
 import math
 import warnings
+from decimal import Context, Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphfp as g
-from graphfp.errors import TruncationError
+from graphfp import simplex
+from graphfp.errors import InvalidRowError, TruncationError
 from helpers import explicit_weights, half_weights, random_instance, random_interior
 
 # Frozen against a 40-digit evaluation of the two defining sums:
@@ -51,6 +54,38 @@ class TestDensity:
         rho = g.Density(np.ones(2), half_weights())
         with pytest.raises(ValueError):
             rho.rho[0] = 3.0
+
+    def test_stack_is_checked_and_measured_per_row(self):
+        w = explicit_weights(5, seed=3)
+        rows = np.stack([random_interior(k, w).rho for k in range(4)])
+        stack = g.Density(rows, w)
+        for k in range(4):
+            one = g.Density(rows[k], w)
+            assert (stack.inf[k], stack.sup[k], stack.mass()[k]) == (one.inf, one.sup, one.mass())
+            np.testing.assert_array_equal(stack.rows(k).rho, one.rho)
+        assert stack.interior.tolist() == [True] * 4
+        assert isinstance(g.Density(rows[0], w).inf, float)
+
+    @pytest.mark.parametrize("entry, needle", [(-0.1, "density values must be finite"),
+                                               (np.nan, "density values must be finite"),
+                                               (None, "density mass")])
+    def test_stack_names_its_bad_row(self, entry, needle):
+        w = explicit_weights(5, seed=3)
+        rows = np.stack([random_interior(k, w).rho for k in range(4)])
+        if entry is None:
+            rows[2] *= 1.001
+        else:
+            rows[2, 1] = entry
+        with pytest.raises(InvalidRowError, match=f"^row 2: {needle}") as info:
+            g.Density(rows, w)
+        assert info.value.row == 2
+
+    def test_stack_names_its_boundary_row(self):
+        w = half_weights()
+        stack = g.Density(np.array([[1.5, 0.5], [2.0, 0.0], [0.0, 2.0]]), w)
+        assert stack.interior.tolist() == [True, False, False]
+        with pytest.raises(InvalidRowError, match="^row 1: kernel check requires"):
+            stack.require_interior("kernel check")
 
 
 class TestTangentVector:
@@ -259,6 +294,41 @@ class TestInvariantConstants:
         rho0 = random_interior(0, w)
         with pytest.raises(TruncationError):
             g.invariant_constants(rho0, spec)
+
+    @settings(max_examples=400, deadline=None)
+    # beta * mw rounds up to the least denormal; a denormal potential whose
+    # quotient by beta rounds before the small divisors lift it
+    @example(beta=5e-324, phi_sup=0.0, mw=0.7, bounds=[1.0, 1.0])
+    @example(beta=1.5, phi_sup=5e-324, mw=1e-162, bounds=[1.0, 1.0])
+    @given(beta=st.floats(5e-324, 1.7976931348623157e308),
+           phi_sup=st.floats(0.0, 1.7976931348623157e308),
+           mw=st.floats(5e-324, 1.0),
+           bounds=st.lists(st.floats(5e-324, 1.7976931348623157e308),
+                           min_size=2, max_size=2).map(sorted))
+    def test_constants_never_raise_and_err_one_way(self, beta, phi_sup, mw, bounds):
+        # Every positive float, denormals and 1e308 included, for beta, the
+        # prefix weight and the class range. Against the defining formulas
+        # in 60-digit decimals with no exponent limit, each constant given
+        # the ones before it: lower_bound and decay_rate only shrink and
+        # upper_bound only grows, up to float rounding (1e-12 relative: an
+        # exponent of at most 745 amplifies a few ulps) and a few denormal
+        # ulps.
+        lower, upper = bounds
+        star = g.Density(np.ones(1), g.WeightSequence(m=np.ones(1), raw_tail_mass=0.0))
+        with mock.patch.object(simplex, "min_weight_prefix", lambda weights, n0: mw):
+            rep = simplex._class_constants(star, lower, upper, phi_sup, beta)
+        tol, slack = Decimal("1e-12"), Decimal("1e-322")
+        with localcontext(Context(prec=60, Emax=10 ** 9, Emin=-10 ** 9, traps=[])):
+            b, p, w, lo, up = map(Decimal, (beta, phi_sup, mw, lower, upper))
+            c1 = min(lo / 2, (-4 * p / (w * b)).exp() / 4, b * w / (4 * (2 * p + b)))
+            assert Decimal(rep.lower_bound) <= c1 * (1 + tol) + slack
+            c1 = Decimal(rep.lower_bound)
+            growth = (2 * p / (b * c1 * w)).exp() / (2 * w) if c1 > 0 else Decimal("Infinity")
+            c2 = max(2 * up, growth, (2 * p + 2 * b) / (b * w), 2 / w)
+            assert Decimal(rep.upper_bound) >= c2 * (1 - tol) - slack
+            c2 = Decimal(rep.upper_bound)
+            rate = b * c1 / c2 if c2.is_finite() else Decimal(0)   # star.inf / star.sup = 1
+            assert Decimal(rep.decay_rate) <= rate * (1 + tol) + slack
 
     def test_requires_positive_beta(self):
         w = explicit_weights(3)
