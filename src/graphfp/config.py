@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .dynamics import KINDS, IntegratorConfig
-from .graph import GraphSpec, build_weights, parse_weight_family
+from .graph import GraphSpec, _read_floats, build_weights, parse_weight_family
 from .metric import GeodesicConfig
 from .simplex import Density, gibbs
 
@@ -280,7 +280,3 @@ def perturbed_gibbs(spec: GraphSpec, epsilon: float, seed: int) -> Density:
                           "Gibbs state is not a finite interior density")
     return Density(rho, spec.weights)
 
-
-def _read_floats(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [float(line) for line in fh if line.strip()]

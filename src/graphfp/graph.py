@@ -98,10 +98,14 @@ def parse_weight_family(text: str) -> WeightFamily:
     if head == "explicit":
         if key != "file":
             raise ValueError(f"explicit family expects file=<path>, got {arg!r}")
-        with open(val, "r", encoding="utf-8") as fh:
-            vals = [float(line) for line in fh if line.strip()]
-        return WeightFamily.explicit(vals)
+        return WeightFamily.explicit(_read_floats(val))
     raise ValueError(f"unknown weight family {text!r}")
+
+
+def _read_floats(path) -> list:
+    """The floats of a text file, one per non-blank line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [float(line) for line in fh if line.strip()]
 
 
 @dataclass(frozen=True)

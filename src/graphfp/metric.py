@@ -26,9 +26,9 @@ from .simplex import Density, TangentVector, _m_dot, _scalar, l2m_norm_sq
 INVERT_RTOL = 1e-10
 # Eigenvalues below this fraction of the largest count as kernel.
 KERNEL_RTOL = 1e-10
-# Columns of L(rho) the kernel check takes per operator call; one call for
-# all N columns would hold Q x N x N tie terms.
-_KERNEL_BLOCK = 32
+# Lanczos steps of the kernel check, each one operator call; the basis
+# holds KRYLOV_DIM + 1 vectors of length N.
+KRYLOV_DIM = 64
 
 # Most path entries, (knots + 1) x N, one geodesic call may hold: the
 # descent keeps about twenty arrays of that shape, some 350 MB at the bound.
@@ -113,6 +113,21 @@ class MobilityOperator:
     tie term of i is sum_q w_q rho_i^t_q times a group sum of
     m_j rho_j^(1-t_q) (p_i - p_j). Building costs one sort; every product
     is O(N Q). Work is done in sorted order.
+
+    Spectral bracket: for rho > 0, L(rho) restricted to the mean-free
+    vectors has its spectrum in [inf rho, sup rho]. Proof (a comparison of
+    Dirichlet forms, Maas, J. Funct. Anal. 2011): L(rho) is self-adjoint in
+    <x, y>_m = sum_i m_i x_i y_i, with
+    <p, L(rho) p>_m = (1/2) sum_ij m_i m_j tau_ij (p_i - p_j)^2, and maps
+    the mean-free vectors into themselves. Every tau_ij lies in
+    [min(rho_i, rho_j), max(rho_i, rho_j)]: the upwind value is one of the
+    two, and the log mean, exact or by the rule (a convex combination of
+    rho_i^t rho_j^(1-t)), lies between them. Since sum_j m_j = 1,
+    (1/2) sum_ij m_i m_j (p_i - p_j)^2 = ||p||_m^2 for mean-free p, so
+    <p, L(rho) p>_m lies in [inf rho, sup rho] ||p||_m^2. Hence the kernel
+    of L(rho) is exactly the constants, the injectivity on which the metric
+    rests, and sup rho / inf rho bounds the condition number of L(rho) on
+    the mean-free vectors.
     """
 
     def __init__(self, key, m):
@@ -363,8 +378,10 @@ def invert_mobility(rho: Density, phi, sigma: TangentVector) -> np.ndarray:
     ok = np.sqrt(_m_dot(m, res * res)) <= INVERT_RTOL * np.sqrt(_m_dot(m, s * s))
     if not ok.all():
         k = int(np.argmin(ok))
+        ratio = np.ravel(rho.sup)[k] / np.ravel(rho.inf)[k]
         raise ConvergenceError(f"mobility inversion residual above {INVERT_RTOL:.1e} "
-                               f"(row {k}, inf rho = {np.ravel(rho.inf)[k]:.3e})")
+                               f"(row {k}, sup rho / inf rho = {ratio:.3e}, which bounds "
+                               "the condition number of L(rho))")
     return p
 
 
@@ -382,8 +399,6 @@ class NormEquivalenceReport:
     g: float
     p_norm_sq: float
     sigma_norm_sq: float
-    rho_inf: float
-    rho_sup: float
     lower_g: float        # g - inf(rho) ||p||^2
     upper_g: float        # sup(rho) ||p||^2 - g
     lower_sigma: float    # ||sigma||^2 - inf(rho)^2/sup(rho) g
@@ -409,8 +424,6 @@ def norm_equivalence_check(rho: Density, phi, sigma: TangentVector) -> NormEquiv
         g=g,
         p_norm_sq=pn,
         sigma_norm_sq=sn,
-        rho_inf=lo,
-        rho_sup=hi,
         lower_g=g - lo * pn,
         upper_g=hi * pn - g,
         lower_sigma=sn - (lo * lo / hi) * g,
@@ -418,30 +431,61 @@ def norm_equivalence_check(rho: Density, phi, sigma: TangentVector) -> NormEquiv
     )
 
 
-def kernel_dimension_check(rho: Density, phi) -> int:
-    """Number of near-zero eigenvalues of the mobility Laplacian (weighted
-    inner product); exactly one -- the constants direction -- is expected.
+def _ritz_values(op: MobilityOperator, rho):
+    """Ritz values, ascending, of L(rho) on the mean-free vectors, from
+    ``KRYLOV_DIM`` Lanczos steps in <., .>_m, or N - 1 when fewer span them.
 
-    L(rho) is read off :class:`MobilityOperator`, ``_KERNEL_BLOCK`` unit
-    vectors per call, and made symmetric as sqrt(m_i) L_ij / sqrt(m_j);
-    the eigensolve reads its lower triangle.
+    The basis starts with the constants, a unit vector in <., .>_m, and
+    every new vector is orthogonalized against all before it twice, so it
+    is mean-free; the start is cos(0), cos(1), ..., cos(N - 1). When the
+    second pass halves the norm, the vector lay in the span of the basis to
+    rounding (Kahan's "twice is enough", Parlett, *The Symmetric Eigenvalue
+    Problem*): L maps that span into itself, and the run goes on with a
+    zero coupling from the unit vector the basis covers least, whose share
+    outside the span is at least 1/N. The Ritz values are the eigenvalues
+    of the tridiagonal matrix of the run.
+    """
+    m, k = op.m, min(KRYLOV_DIM, op.n - 1)
+    basis, tri = np.ones((k + 1, op.n)), np.zeros((k + 1, k + 1))
+    w = np.cos(np.arange(op.n, dtype=float))
+    for j in range(1, k + 1):
+        for fresh in (False, True):
+            size = []
+            for _ in range(2):
+                w = w - (basis[:j] @ (m * w)) @ basis[:j]
+                size.append(math.sqrt(_m_dot(m, w * w)))
+            if size[1] > 0.5 * size[0]:
+                break
+            w = np.eye(1, op.n, int(np.argmin(m * (basis[:j] ** 2).sum(0))))[0]
+        tri[j, j - 1] = 0.0 if fresh else size[1]   # row 1 couples to the constants: unused
+        basis[j] = w / size[1]
+        w = op.apply(rho, basis[j])
+        tri[j, j] = _m_dot(m, basis[j] * w)
+    return np.linalg.eigvalsh(tri[1:, 1:])        # reads the lower triangle
+
+
+def kernel_dimension_check(rho: Density, phi) -> int:
+    """Dimension of the numerical kernel of the mobility Laplacian; exactly
+    one -- the constants direction -- is expected.
+
+    The constants are in the kernel by construction (every term of L(rho) p
+    is a difference p_i - p_j). On the mean-free vectors the spectrum of
+    L(rho) lies in [inf rho, sup rho] (:class:`MobilityOperator`), so the
+    kernel is exactly the constants. The check counts one for them plus the
+    Ritz values of :func:`_ritz_values` below ``KERNEL_RTOL`` of the largest
+    in magnitude: ``KRYLOV_DIM`` operator calls and (``KRYLOV_DIM`` + 1) x N
+    entries at any N. When N - 1 <= ``KRYLOV_DIM`` the run spans the whole
+    mean-free space and the count is that of a dense eigensolve. Ritz values
+    always lie inside the true spectrum, so this is a test the operator can
+    fail (a wrong tau shows as a Ritz value near zero or outside the
+    bracket), not a certificate.
     """
     rho.require_interior("kernel check")
-    n = rho.rho.size
-    if n > 500:
-        raise ValueError("dense eigensolve budget is N <= 500")
-    op = MobilityOperator(phi, rho.weights.m)
-    sq = np.sqrt(rho.weights.m)
-    sym = np.empty((n, n))
-    for j in range(0, n, _KERNEL_BLOCK):
-        unit = np.eye(min(_KERNEL_BLOCK, n - j), n, j)
-        cols = op.apply(np.broadcast_to(rho.rho, unit.shape), unit)   # row k: L e_(j+k)
-        sym[:, j:j + len(unit)] = (cols * sq / sq[j:j + len(unit), None]).T
-    evals = np.linalg.eigvalsh(sym)
-    top = float(np.abs(evals).max())
+    ritz = np.abs(_ritz_values(MobilityOperator(phi, rho.weights.m), rho.rho))
+    top = float(ritz.max(initial=0.0))
     if not math.isfinite(top) or top == 0.0:
         raise ConvergenceError("degenerate spectrum in kernel check")
-    return int(np.sum(np.abs(evals) < KERNEL_RTOL * top))
+    return 1 + int(np.sum(ritz < KERNEL_RTOL * top))
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +515,14 @@ class GeodesicConfig:
 @dataclass
 class GeodesicResult:
     """Midpoint-rule estimate of the geodesic distance, the path that
-    attains it, and why the descent stopped: ``stop_reason`` is
-    ``"converged"`` (gradient norm at or below ``grad_tol``), ``"stall"``
-    (60 step halvings found no acceptable step) or ``"max_iters"``;
-    ``iterations`` counts accepted steps and ``segment_solves`` the batched
-    mobility solves of the call."""
+    attains it as one (knots + 1, N) :class:`Density`, and why the descent
+    stopped: ``stop_reason`` is ``"converged"`` (gradient norm at or below
+    ``grad_tol``), ``"stall"`` (60 step halvings found no acceptable step)
+    or ``"max_iters"``; ``iterations`` counts accepted steps and
+    ``segment_solves`` the batched mobility solves of the call."""
 
     distance: float
-    path: list
+    path: Density
     action: float
     iterations: int
     grad_norm: float
@@ -602,7 +646,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     K = config.knots
 
     if np.array_equal(rho_a.rho, rho_b.rho):
-        path = [rho_a] * (K + 1)
+        path = Density(np.broadcast_to(rho_a.rho, (K + 1, m.size)), weights)
         return GeodesicResult(distance=0.0, path=path, action=0.0, iterations=0,
                               grad_norm=0.0, stop_reason="converged", action_history=[0.0])
 
@@ -663,10 +707,11 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     warn = [] if stop == "converged" else [stop]
     if x[1:-1].size and x[1:-1].min() <= 10.0 * config.positivity_floor:
         warn.append("boundary")
-    path = [rho_a] + [Density(row, weights, mass_tol=1e-9) for row in x[1:-1]] + [rho_b]
     return GeodesicResult(
         distance=math.sqrt(max(act, 0.0)),
-        path=path,
+        # x[0] and x[-1] are the endpoints bitwise: the straight line is
+        # exact at t = 0 and t = 1, and the descent moves interior knots only
+        path=Density(x, weights, mass_tol=1e-9),
         action=act,
         iterations=it,
         grad_norm=gnorm,

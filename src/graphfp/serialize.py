@@ -119,12 +119,12 @@ def snapshots_to_csv(outdir, traj, meta: dict | None = None) -> list:
     return paths
 
 
-def path_to_csv(path, geodesic_path, meta: dict | None = None) -> None:
-    """Geodesic path knots: rows ``knot, i, rho_i``."""
+def path_to_csv(path, geodesic_path: Density, meta: dict | None = None) -> None:
+    """Geodesic path knots, one per row of the stacked ``geodesic_path``:
+    rows ``knot, i, rho_i``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_csv_header_comment(meta))
         fh.write("knot,i,rho_i\n")
-        for k, state in enumerate(geodesic_path):
-            rho = state.rho if isinstance(state, Density) else np.asarray(state)
+        for k, rho in enumerate(geodesic_path.rho):
             for i, v in enumerate(rho):
                 fh.write(f"{k},{i + 1},{fmt(v)}\n")

@@ -231,6 +231,30 @@ class TestSampleInClass:
         b = g.sample_in_class(np.random.default_rng(7), w, cls)
         np.testing.assert_array_equal(a.rho, b.rho)
 
+    def test_matches_the_per_entry_loop(self):
+        # the scale as a loop over every entry, the reference for the
+        # library's two masked minima: the samples must agree bitwise
+        def loop_sample(rng, w, cls):
+            d = rng.uniform(-1.0, 1.0, w.m.size)
+            d = d - float(np.dot(w.m, d))
+            scale = math.inf
+            for di in d:
+                if di > 0.0:
+                    scale = min(scale, (cls.nu_sup - 1.0) / di)
+                elif di < 0.0:
+                    scale = min(scale, (cls.nu_inf - 1.0) / di)
+            scale = scale if math.isfinite(scale) else 0.0
+            return 1.0 + rng.uniform(0.2, g.inequalities.SAMPLE_SPREAD) * scale * d
+
+        classes = [g.TalagrandClass(0.3, 3.0), g.TalagrandClass(0.9, 1.0),
+                   g.TalagrandClass(1.0, 1.5), g.TalagrandClass(1.0, 1.0)]
+        for k in range(400):
+            n = 2 + k % 199
+            w = explicit_weights(n, seed=k)
+            cls = classes[k % 4]
+            got = g.sample_in_class(np.random.default_rng(k), w, cls).rho
+            np.testing.assert_array_equal(got, loop_sample(np.random.default_rng(k), w, cls))
+
 
 class TestVerifyW1Bound:
     def test_identical_pair(self):

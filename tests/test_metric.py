@@ -2,6 +2,7 @@
 geodesic distances."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -190,6 +191,29 @@ class TestInvertMobility:
         rel = math.sqrt(g.l2m_norm_sq(resid, w) / g.l2m_norm_sq(sig.sigma, w))
         assert rel <= 1e-10
 
+    def test_extreme_densities_stay_within_the_conditioning_bound(self):
+        # sup rho / inf rho bounds the condition number of L(rho) on the
+        # mean-free vectors (MobilityOperator), so at densities spanning
+        # e^+-15 the solve may miss INVERT_RTOL, but not that ratio times
+        # eps; where it misses, invert_mobility names the ratio
+        for k in range(60):
+            n = (5, 20, 50, 200)[k % 4]
+            w = explicit_weights(n, seed=k)
+            rng = np.random.default_rng(k)
+            rho = g.Density.normalized(np.exp(rng.uniform(-15, 15, n)), w)
+            phi = (rng.uniform(-2, 2, n), np.zeros(n),
+                   rng.integers(0, 3, n).astype(float))[k // 4 % 3]
+            sig = random_tangent(100 + k, w)
+            op = MobilityOperator(phi, w.m)
+            res = op.apply(rho.rho, op.solve(rho.rho, sig.sigma)) - sig.sigma
+            rel = math.sqrt(g.l2m_norm_sq(res, w) / g.l2m_norm_sq(sig.sigma, w))
+            ratio = rho.sup / rho.inf
+            assert rel <= ratio * 2.0 ** -52, k
+            if rel > metric.INVERT_RTOL:
+                with pytest.raises(g.ConvergenceError,
+                                   match=re.escape(f"sup rho / inf rho = {ratio:.3e}")):
+                    g.invert_mobility(rho, op, sig)
+
     def test_solve_matches_dense_oracle(self):
         w = explicit_weights(60, seed=5)
         rho = random_interior(5, w)
@@ -311,11 +335,76 @@ class TestKernelDimension:
         count = g.kernel_dimension_check(rho, phi)
         assert count == dense_oracle.kernel_dimension(rho.rho, phi, w.m) == 1
 
-    def test_budget(self):
-        w = explicit_weights(501, seed=0)
-        rho = random_interior(0, w)
-        with pytest.raises(ValueError):
-            g.kernel_dimension_check(rho, np.zeros(501))
+    # N from 2 to 500, both sides of N - 1 = KRYLOV_DIM included
+    SIZES = (2, 3, 4, 5, 7, 10, 14, 20, 28, 40, 50, 63, 64, 65, 66, 80, 100, 128, 150, 200,
+             250, 300, 350, 400, 450, 480, 490, 499, 500, 500)
+    # Ritz values of the computed operator are off by rounding relative to
+    # its norm, at most sup rho: 1.5 ulp of sup rho measured on this set
+    BRACKET_ULP = 4
+
+    @pytest.mark.parametrize("spread", [0.6, 3.0])
+    @pytest.mark.parametrize("kind", ["random", "constant", "levels"])
+    def test_bracket_and_dense_count(self, kind, spread):
+        # every Ritz value lies in [inf rho, sup rho] (MobilityOperator), and
+        # the count agrees with the dense eigensolve of the test oracle
+        tol = self.BRACKET_ULP * 2.0 ** -52
+        for k, n in enumerate(self.SIZES):
+            w = explicit_weights(n, seed=k)
+            rho = random_interior(100 * k + int(spread), w, spread)
+            rng = np.random.default_rng(k)
+            phi = {"random": rng.uniform(-2, 2, n), "constant": np.zeros(n),
+                   "levels": rng.integers(0, 3, n).astype(float)}[kind]
+            ritz = metric._ritz_values(MobilityOperator(phi, w.m), rho.rho)
+            assert len(ritz) == min(metric.KRYLOV_DIM, n - 1)
+            assert rho.inf - tol * rho.sup <= ritz.min() and ritz.max() <= rho.sup * (1 + tol), n
+            count = g.kernel_dimension_check(rho, phi)
+            assert count == dense_oracle.kernel_dimension(rho.rho, phi, w.m) == 1, n
+
+    def test_scaled_operator_leaves_the_bracket(self):
+        # with the densest vertex strictly highest in potential, e_i - m_i 1
+        # is an eigenvector with eigenvalue sup rho, so the bracket is
+        # attained and an operator 1% too large must leave it
+        class Scaled(MobilityOperator):
+            def apply(self, rho, p):
+                return 1.01 * super().apply(rho, p)
+
+        tol = self.BRACKET_ULP * 2.0 ** -52
+        for k in range(30):
+            n = (2, 3, 5, 10, 20, 50, 65, 100, 200, 500)[k % 10]
+            w = explicit_weights(n, seed=k)
+            rho = random_interior(k, w, (0.6, 3.0)[k % 2])
+            rng = np.random.default_rng(k)
+            phi = rng.uniform(-2, 2, n) if k % 3 else rng.integers(0, 3, n).astype(float)
+            phi[rho.rho.argmax()] = 3.0
+            assert metric._ritz_values(MobilityOperator(phi, w.m), rho.rho).max() <= \
+                rho.sup * (1 + tol)
+            assert metric._ritz_values(Scaled(phi, w.m), rho.rho).max() > rho.sup * (1 + tol), k
+
+    @pytest.mark.parametrize("n", [3, 10, 65, 100])
+    def test_invariant_subspace_restarts(self, n):
+        # on a uniform density every tau_ij is 1, whatever the potential, and
+        # L(rho) is the identity on the mean-free vectors: each Krylov space
+        # is invariant, so the run goes on from fresh unit vectors
+        w = explicit_weights(n, seed=n)
+        rho = g.Density(np.ones(n), w)
+        for phi in (np.zeros(n), np.arange(n, dtype=float), np.arange(n) % 2.0):
+            ritz = metric._ritz_values(MobilityOperator(phi, w.m), rho.rho)
+            np.testing.assert_allclose(ritz, 1.0, rtol=32 * 2.0 ** -52)
+            assert g.kernel_dimension_check(rho, phi) == 1
+
+    @pytest.mark.parametrize("kind", ["random", "constant"])
+    def test_large_n(self, kind):
+        n = 10 ** 4
+        w = g.build_weights(g.WeightFamily.geometric(1.0 - 20.0 / n), n)
+        rho = random_interior(n, w)
+        phi = np.random.default_rng(n).uniform(-2, 2, n) if kind == "random" else np.zeros(n)
+        assert g.kernel_dimension_check(rho, phi) == 1
+
+    def test_single_vertex_is_degenerate(self):
+        # no mean-free vector, so no Ritz value to scale the count by
+        w = g.WeightSequence(m=np.ones(1), raw_tail_mass=0.0)
+        with pytest.raises(g.ConvergenceError):
+            g.kernel_dimension_check(g.Density(np.ones(1), w), np.zeros(1))
 
 
 def two_vertex_oracle(weights, phi, rho_a, rho_b):
@@ -345,7 +434,7 @@ class TestGeodesic:
         res = g.geodesic_distance(rho, rho, np.zeros(5))
         assert res.distance == 0.0
         assert res.as_dict()["stop_reason"] == "converged"
-        assert all(np.array_equal(s.rho, rho.rho) for s in res.path)
+        assert res.path.rho.shape == (33, 5) and (res.path.rho == rho.rho).all()
 
     @pytest.mark.parametrize("phi,a,b", [
         (np.array([0.0, 0.0]), [0.6, 1.4], [1.4, 0.6]),
@@ -397,6 +486,14 @@ class TestGeodesic:
         coarse = g.geodesic_distance(a, b, phi, g.GeodesicConfig(knots=8))
         fine = g.geodesic_distance(a, b, phi, g.GeodesicConfig(knots=16))
         assert fine.distance <= coarse.distance * (1 + 1e-4)
+
+    def test_path_is_one_stack_with_exact_endpoints(self):
+        w = explicit_weights(8, seed=12)
+        phi = np.random.default_rng(12).uniform(-1, 1, 8)
+        a, b = random_interior(31, w), random_interior(32, w)
+        path = g.geodesic_distance(a, b, phi, g.GeodesicConfig(knots=8)).path
+        assert isinstance(path, g.Density) and path.rho.shape == (9, 8)
+        assert (path.rho[0] == a.rho).all() and (path.rho[-1] == b.rho).all()
 
     def test_endpoints_must_share_weights(self):
         a = random_interior(1, explicit_weights(4, seed=1))
@@ -570,7 +667,7 @@ class TestPreconditionedDescent:
                             lambda path, op: paths.append(path.copy()) or solve(path, op))
         res = g.geodesic_distance(a, b, phi)
         assert res.stop_reason == "stall"
-        final = np.array([rho.rho for rho in res.path])
+        final = res.path.rho
         accepted = min(k for k, path in enumerate(paths) if np.array_equal(path, final))
         assert len(paths) - 1 - accepted < 60
 
