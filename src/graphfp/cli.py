@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
-import json
 import os
 import sys
 
@@ -32,9 +31,8 @@ from .errors import (ConvergenceError, InsufficientDataError, InvariantBreachErr
 from .inequalities import (TalagrandClass, sample_in_class, talagrand_constants,
                            verify_talagrand, verify_w1_bound, w1_distance)
 from .metric import geodesic_distance
-from .serialize import (_csv_header_comment, fmt, load_density, path_to_csv,
-                        save_density, snapshots_to_csv, trajectory_to_csv,
-                        write_report)
+from .serialize import (load_density, path_to_csv, save_density, snapshots_to_csv,
+                        table_to_csv, trajectory_to_csv, write_report)
 from .simplex import gibbs, invariant_constants
 
 EXIT_OK = 0
@@ -126,14 +124,21 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.load(args.config, args.set, values)
 
 
-def _outdir(cfg) -> str:
-    path = cfg.outputs
-    os.makedirs(path, exist_ok=True)
-    return path
+def _out(cfg, name: str = "") -> str:
+    """Path of output file ``name``; the output directory is made here, at
+    write time, so a run that fails first leaves none behind."""
+    os.makedirs(cfg.outputs, exist_ok=True)
+    return os.path.join(cfg.outputs, name)
 
 
 def _meta(cfg) -> dict:
     return {"config": cfg.resolved(), "seed": cfg.seed}
+
+
+def _report(cfg, name: str, payload: dict) -> None:
+    """JSON report ``name`` in the output directory, with the resolved config
+    and seed."""
+    write_report(_out(cfg, name), {**_meta(cfg), **payload})
 
 
 def cmd_gibbs(args, cfg) -> int:
@@ -141,11 +146,8 @@ def cmd_gibbs(args, cfg) -> int:
     star = gibbs(spec)
     rho0 = cfg.build_initial(spec)
     constants = invariant_constants(rho0, spec)
-    out = _outdir(cfg)
-    save_density(os.path.join(out, "gibbs.txt"), star, spec)
-    write_report(os.path.join(out, "constants.json"),
-                 {**_meta(cfg), "constants": constants.as_dict(),
-                  "gibbs_file": "gibbs.txt"})
+    save_density(_out(cfg, "gibbs.txt"), star, spec)
+    _report(cfg, "constants.json", {"constants": constants, "gibbs_file": "gibbs.txt"})
     return EXIT_OK
 
 
@@ -165,20 +167,18 @@ def _run_simulation(cfg):
 
 def cmd_simulate(args, cfg) -> int:
     _, traj, constants, report, fitted = _run_simulation(cfg)
-    out = _outdir(cfg)
     meta = _meta(cfg)
-    trajectory_to_csv(os.path.join(out, "trajectory.csv"), traj, meta)
+    trajectory_to_csv(_out(cfg, "trajectory.csv"), traj, meta)
     if cfg.write_states:
-        snapshots_to_csv(out, traj, meta)
-    write_report(os.path.join(out, "simulate.json"), {
-        **meta,
+        snapshots_to_csv(_out(cfg), traj, meta)
+    _report(cfg, "simulate.json", {
         "kind": traj.kind,
-        "constants": constants.as_dict() if constants is not None else None,
-        "monitor": report.as_dict(),
+        "constants": constants,
+        "monitor": report.checks,
         "monitor_all_passed": report.all_passed,
         "decay_rate_fit": fitted,
         "theoretical_rate": constants.decay_rate if constants is not None else None,
-        "integrator": traj.stats.as_dict(),
+        "integrator": traj.stats,
     })
     return EXIT_OK if report.all_passed else EXIT_RUNTIME
 
@@ -196,11 +196,8 @@ def _load_pair(args):
 def cmd_metric(args, cfg) -> int:
     rho_a, rho_b, phi = _load_pair(args)
     geo = geodesic_distance(rho_a, rho_b, phi, cfg.geodesic)
-    out = _outdir(cfg)
-    meta = _meta(cfg)
-    path_to_csv(os.path.join(out, "path.csv"), geo.path, meta)
-    write_report(os.path.join(out, "metric.json"), {
-        **meta,
+    path_to_csv(_out(cfg, "path.csv"), geo.path, _meta(cfg))
+    _report(cfg, "metric.json", {
         "distance": geo.distance,
         "diagnostics": geo.as_dict(),
         "action_history": list(geo.action_history),
@@ -232,11 +229,9 @@ def cmd_talagrand(args, cfg) -> int:
         except ValueError as exc:
             entries.append({"sample": k, "passed": False, "violation": str(exc)})
             all_passed = False
-    out = _outdir(cfg)
-    write_report(os.path.join(out, "talagrand.json"), {
-        **_meta(cfg),
-        "class": {"nu_inf": cls.nu_inf, "nu_sup": cls.nu_sup},
-        "constants": constants.as_dict(),
+    _report(cfg, "talagrand.json", {
+        "class": cls,
+        "constants": constants,
         "samples": entries,
         "all_passed": all_passed,
     })
@@ -247,16 +242,14 @@ def cmd_w1(args, cfg) -> int:
     mu, nu, phi = _load_pair(args)
     if mu.interior and nu.interior:
         rep = verify_w1_bound(mu, nu, phi, cfg.geodesic)
-        write_report(os.path.join(_outdir(cfg), "w1.json"),
-                     {**_meta(cfg), **rep.as_dict(), "bound_checked": True})
-        return EXIT_OK if rep.passed else EXIT_RUNTIME
-    # boundary densities are valid W1 inputs, but the transport bound needs
-    # interior endpoints; report the distance alone
-    value = w1_distance(mu, nu)
-    write_report(os.path.join(_outdir(cfg), "w1.json"),
-                 {**_meta(cfg), "w1": value, "distance_bound": None,
-                  "bound_checked": False})
-    return EXIT_OK
+        passed, payload = rep.passed, {**rep.as_dict(), "bound_checked": True}
+    else:
+        # boundary densities are valid W1 inputs, but the transport bound
+        # needs interior endpoints; report the distance alone
+        passed, payload = True, {"w1": w1_distance(mu, nu), "distance_bound": None,
+                                 "bound_checked": False}
+    _report(cfg, "w1.json", payload)
+    return EXIT_OK if passed else EXIT_RUNTIME
 
 
 def cmd_sweep(args, cfg) -> int:
@@ -290,25 +283,10 @@ def cmd_sweep(args, cfg) -> int:
             row["status"] = f"error: {exc}"
         rows.append(row)
 
-    out = _outdir(cfg)
     columns = ["index", *keys, "fitted_rate", "theory_rate", "monitor_pass", "status"]
-    with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_csv_header_comment(_meta(cfg)))
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for col in columns:
-                v = row[col]
-                if isinstance(v, bool):
-                    cells.append(str(v).lower())
-                elif isinstance(v, float):
-                    cells.append(fmt(v))
-                elif v is None:
-                    cells.append("")
-                else:
-                    cells.append(json.dumps(v) if "," in str(v) else str(v))
-            fh.write(",".join(cells) + "\n")
-    write_report(os.path.join(out, "sweep.json"), {**_meta(cfg), "rows": rows})
+    table_to_csv(_out(cfg, "sweep.csv"), columns,
+                 [[row[col] for col in columns] for row in rows], _meta(cfg))
+    _report(cfg, "sweep.json", {"rows": rows})
     any_ok = any(r["status"] == "ok" for r in rows)
     return EXIT_OK if any_ok else EXIT_RUNTIME
 

@@ -15,7 +15,7 @@ checks every quantitative property a trajectory is expected to satisfy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -178,9 +178,6 @@ class IntegratorStats:
         default_factory=lambda: {"positivity": 0, "error": 0, "nonfinite": 0})
     h_min: float = math.inf
     h_max: float = 0.0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -385,13 +382,6 @@ class MonitorReport:
     @property
     def all_passed(self) -> bool:
         return all(c.ok for c in self.checks.values())
-
-    def as_dict(self) -> dict:
-        return {
-            name: {"passed": c.passed, "margin": c.margin, "skipped": c.skipped,
-                   "detail": c.detail}
-            for name, c in self.checks.items()
-        }
 
 
 # Pinned monitor tolerances.

@@ -12,7 +12,7 @@ where Kantorovich-Rubinstein duality gives it in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +70,6 @@ class TalagrandConstants:
     min_prefix_weight: float
     norm_bound: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def talagrand_constants(mu: Density, cls: TalagrandClass) -> TalagrandConstants:
     """Constants for the class around the reference density ``mu``.
@@ -126,7 +123,7 @@ class TalagrandReport:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "ratio": self.ratio,
-            "constants": self.constants.as_dict(),
+            "constants": self.constants,
             "geodesic": self.geodesic.as_dict(),
             "ground_metric": GROUND_METRIC_NOTE,
         }

@@ -1,4 +1,5 @@
-"""File formats: density text files, trajectory and path CSVs, JSON reports.
+"""Every file format: density text files, CSV tables (trajectory, sweep),
+per-vertex CSVs (snapshots, geodesic path) and JSON reports.
 
 All floating-point values are printed with shortest-round-trip formatting,
 so files reproduce bitwise for identical inputs and parse back to the exact
@@ -25,20 +26,24 @@ def fmt(x) -> str:
 
 
 def jsonify(obj):
-    """Recursively coerce numpy scalars/arrays so json can serialize them."""
+    """Recursively coerce numpy scalars and arrays, and dataclass instances
+    (a dataclass's fields are its keys), so json can serialize them. A
+    non-finite float, numpy or not, becomes its text "inf", "-inf" or "nan"."""
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
         # JSON has no inf/nan literals; keep them readable and parseable.
-        return repr(obj)
+        return obj if math.isfinite(obj) else repr(obj)
+    if hasattr(type(obj), "__dataclass_fields__"):
+        from dataclasses import fields   # already loaded: obj is a dataclass
+        return {f.name: jsonify(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
@@ -92,15 +97,46 @@ def _csv_header_comment(meta: dict | None) -> str:
     return "# " + json.dumps(jsonify(meta), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def trajectory_to_csv(path, traj, meta: dict | None = None) -> None:
-    """Scalar time series of a trajectory: t, mass, F, L, inf_rho, sup_rho."""
+def _cell(value) -> str:
+    """One CSV cell: ``true``/``false`` for a boolean, :func:`fmt` for a
+    float, empty for ``None``, text otherwise (a list or mapping as its JSON
+    text), quoted per RFC 4180 when it holds a comma, a quote or a line
+    break."""
+    if isinstance(value, (float, np.floating)):
+        return fmt(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    text = json.dumps(jsonify(value)) if isinstance(value, (list, dict)) else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def table_to_csv(path, columns, rows, meta: dict | None = None) -> None:
+    """CSV table: the ``meta`` comment line, a header of ``columns``, then
+    one line per row of ``rows``, its cells in column order (see
+    :func:`_cell`)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_csv_header_comment(meta))
-        fh.write("t,mass,F,L,inf_rho,sup_rho\n")
-        states = traj.states
-        for row in zip(traj.times, states.mass(), traj.F_values, traj.L_values, states.inf,
-                       states.sup):
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write(",".join(map(_cell, columns)) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def trajectory_to_csv(path, traj, meta: dict | None = None) -> None:
+    """Scalar time series of a trajectory: t, mass, F, L, inf_rho, sup_rho."""
+    states = traj.states
+    table_to_csv(path, ("t", "mass", "F", "L", "inf_rho", "sup_rho"),
+                 zip(traj.times, states.mass(), traj.F_values, traj.L_values, states.inf,
+                     states.sup), meta)
+
+
+def _vertex_rows(n: int, lead: str = "") -> str:
+    """%-template of the per-vertex rows ``<lead>i,rho_i``, i = 1..n, built
+    once per call of a writer: %r of a Python float is fmt's repr."""
+    return "".join([f"{lead}{i},%r\n" for i in range(1, n + 1)])
 
 
 def snapshots_to_csv(outdir, traj, meta: dict | None = None) -> list:
@@ -108,8 +144,7 @@ def snapshots_to_csv(outdir, traj, meta: dict | None = None) -> list:
     per row of the stacked ``traj.states``."""
     header = _csv_header_comment(meta) + "i,rho_i\n"
     states = traj.states.rho
-    # One row template for all files: %r of a Python float is fmt's repr.
-    rows = "".join(f"{i},%r\n" for i in range(1, states.shape[-1] + 1))
+    rows = _vertex_rows(states.shape[-1])
     paths = []
     for k, rho in enumerate(states):
         p = os.path.join(outdir, f"state_{k}.csv")
@@ -122,9 +157,12 @@ def snapshots_to_csv(outdir, traj, meta: dict | None = None) -> list:
 def path_to_csv(path, geodesic_path: Density, meta: dict | None = None) -> None:
     """Geodesic path knots, one per row of the stacked ``geodesic_path``:
     rows ``knot, i, rho_i``."""
+    knots = geodesic_path.rho
+    n = knots.shape[-1]
+    rows = _vertex_rows(n, "%d,")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_csv_header_comment(meta))
-        fh.write("knot,i,rho_i\n")
-        for k, rho in enumerate(geodesic_path.rho):
-            for i, v in enumerate(rho):
-                fh.write(f"{k},{i + 1},{fmt(v)}\n")
+        fh.write(_csv_header_comment(meta) + "knot,i,rho_i\n")
+        for k, rho in enumerate(knots):
+            args = [k] * (2 * n)   # the knot index fills every %d slot
+            args[1::2] = rho.tolist()
+            fh.write(rows % tuple(args))

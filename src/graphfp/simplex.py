@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, asdict, dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -262,9 +262,6 @@ class ConstantsReport:
     lower_bound: float
     upper_bound: float
     decay_rate: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _class_constants(star: Density, lower: float, upper: float,

@@ -1,5 +1,6 @@
 """End-to-end command line runs, file formats, and reproducibility."""
 
+import csv
 import json
 import math
 import os
@@ -841,6 +842,20 @@ class TestSweepCommand:
         assert all(r["status"] == "ok" for r in rows)
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines[1].split(",")[:2] == ["index", "beta"]
+
+    def test_every_row_has_the_header_width(self, tmp_path):
+        cfg = write_config(tmp_path, BASE.format(
+            n=10, pot="random", beta=1.0, eps=0.5, t_end=1.0, rec=0.1,
+            out=tmp_path / "out", seed=6)
+            + '\nsweep: {beta: [1.0], graph: [{N: 10, family: "geometric:q=0.25"}]}\n')
+        assert run(["sweep", "--config", cfg]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            assert fh.readline().startswith("# {")
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 1
+        assert all(len(row) == len(header) for row in rows)
+        graph = json.loads(rows[0][header.index("graph")])
+        assert graph == {"N": 10, "family": "geometric:q=0.25"}
 
     def test_single_point_matches_simulate(self, tmp_path):
         text = BASE.format(n=12, pot="random", beta=1.0, eps=0.5, t_end=1.0,

@@ -323,7 +323,7 @@ class TestMonitor:
                            g.IntegratorConfig(t_end=2.0, record_every=0.02))
         consts = g.invariant_constants(rho0, spec)
         rep = monitor(traj, consts)
-        assert rep.all_passed, rep.as_dict()
+        assert rep.all_passed, rep.checks
         assert not rep.checks["dissipation_identity"].skipped
 
     def test_beta_zero_skips_metric_checks(self):
