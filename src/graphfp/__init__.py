@@ -9,7 +9,8 @@ BLAS thread default before anything loads numpy.
 import importlib
 
 _EXPORTS = {
-    "dynamics": ("IntegratorConfig", "MonitorReport", "TrajectoryRecord",
+    "config": ("GeodesicConfig", "IntegratorConfig"),
+    "dynamics": ("MonitorReport", "TrajectoryRecord",
                  "decay_rate_fit", "effective_potential_rhs", "fokker_planck_rhs",
                  "integrate", "monitor"),
     "errors": ("ConvergenceError", "InsufficientDataError", "InvalidRowError",
@@ -20,7 +21,7 @@ _EXPORTS = {
     "inequalities": ("TalagrandClass", "TalagrandConstants", "sample_in_class",
                      "talagrand_constants", "verify_talagrand", "verify_w1_bound",
                      "w1_distance"),
-    "metric": ("GeodesicConfig", "GeodesicResult", "apply_mobility", "geodesic_distance",
+    "metric": ("GeodesicResult", "apply_mobility", "geodesic_distance",
                "invert_mobility", "kernel_dimension_check", "metric_inner",
                "norm_equivalence_check"),
     "simplex": ("ConstantsReport", "Density", "TangentVector", "free_energy", "gibbs",

@@ -5,13 +5,16 @@ reads one config file (``--config``), applies key overrides (``--set``),
 and writes machine-readable outputs that embed the resolved config and
 seed. Exit codes: 0 success, 2 config/usage error, 3 runtime or numerical
 failure (including failed verifications). The library checks its inputs
-and raises; ``main`` maps the exception class to the exit code.
+and raises; ``main`` maps the exception class to the exit code. Importing
+this module loads no numpy: a command loads the library modules it runs
+when it is dispatched.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import itertools
 import os
 import sys
@@ -22,18 +25,8 @@ import sys
 # before numpy loads; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from .config import ConfigError, ExperimentConfig, _set_dotted
-from .dynamics import decay_rate_fit, integrate, is_gradient_flow, monitor
 from .errors import (ConvergenceError, InsufficientDataError, InvariantBreachError,
                      StiffnessError, TruncationError)
-from .inequalities import (TalagrandClass, sample_in_class, talagrand_constants,
-                           verify_talagrand, verify_w1_bound, w1_distance)
-from .metric import geodesic_distance
-from .serialize import (load_density, path_to_csv, save_density, snapshots_to_csv,
-                        table_to_csv, trajectory_to_csv, write_report)
-from .simplex import gibbs, invariant_constants
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,6 +35,39 @@ EXIT_RUNTIME = 3
 # Most samples one talagrand run may take: each is one geodesic and one
 # entry of the report.
 MAX_SAMPLES = 10 ** 4
+
+# The library names the commands call, by module. A module is loaded when a
+# command that runs it is dispatched, so importing this module, --help and
+# usage errors load neither numpy nor the library. Each name is bound as a
+# global here unless one is bound already: what a test or a tracer puts in
+# its place, before or after the load, is what the commands call.
+_NAMES = {
+    "config": ("ConfigError", "ExperimentConfig", "_set_dotted"),
+    "dynamics": ("decay_rate_fit", "integrate", "is_gradient_flow", "monitor"),
+    "inequalities": ("TalagrandClass", "sample_in_class", "talagrand_constants",
+                     "verify_talagrand", "verify_w1_bound", "w1_distance"),
+    "metric": ("geodesic_distance",),
+    "serialize": ("load_density", "path_to_csv", "save_density", "snapshots_to_csv",
+                  "table_to_csv", "trajectory_to_csv", "write_report"),
+    "simplex": ("gibbs", "invariant_constants"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+# Every command reads its config and writes a report, and config loads simplex.
+_COMMON = ("config", "serialize", "simplex")
+
+
+def _load(module: str) -> None:
+    lib = importlib.import_module(f".{module}", __package__)
+    for name in _NAMES[module]:
+        globals().setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
 
 
 def _add_common(sub):
@@ -58,41 +84,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gibbs", help="write the stationary density and constants")
     _add_common(p)
-    p.set_defaults(func=cmd_gibbs)
+    p.set_defaults(func=cmd_gibbs, modules=())
 
     p = subs.add_parser("simulate", help="integrate one trajectory and monitor it")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, modules=("dynamics",))
 
     p = subs.add_parser("metric", help="geodesic distance between two density files")
     _add_common(p)
     p.add_argument("--a", required=True, help="first endpoint density file")
     p.add_argument("--b", required=True, help="second endpoint density file")
-    p.set_defaults(func=cmd_metric)
+    p.set_defaults(func=cmd_metric, modules=("metric",))
 
     p = subs.add_parser("talagrand", help="transport-entropy inequality on class samples")
     _add_common(p)
     p.add_argument("--nu-inf", type=float, required=True)
     p.add_argument("--nu-sup", type=float, required=True)
     p.add_argument("--samples", type=int, default=10)
-    p.set_defaults(func=cmd_talagrand)
+    p.set_defaults(func=cmd_talagrand, modules=("inequalities",))
 
     p = subs.add_parser("w1", help="closed-form W1 against sqrt(2) times the geodesic "
                                    "distance for a density pair")
     _add_common(p)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(func=cmd_w1)
+    p.set_defaults(func=cmd_w1, modules=("inequalities",))
 
     p = subs.add_parser("sweep", help="run the simulate pipeline over a parameter grid")
     _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, modules=("dynamics",))
 
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv):
+    """The parsed arguments; the modules their command runs are loaded."""
     args = build_parser().parse_args(argv)
+    for module in (*_COMMON, *args.modules):
+        _load(module)
+    return args
+
+
+def _run(args) -> int:
     try:
         return args.func(args, _load_config(args))
     except (StiffnessError, ConvergenceError, InvariantBreachError) as exc:
@@ -107,12 +140,18 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
+def main(argv=None) -> int:
+    return _run(_parse(argv))
+
+
 def entry():
+    args = _parse(None)
     # The heap built by the imports lives until exit: freezing it keeps every
     # collection, the one at interpreter shutdown included, from traversing
-    # it again. Only here, since tests and tracers call main() in-process.
+    # it again. So the freeze follows the command's imports, and it is made
+    # only here, since tests and tracers call main() in-process.
     gc.freeze()
-    sys.exit(main())
+    sys.exit(_run(args))
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -186,6 +225,7 @@ def cmd_simulate(args, cfg) -> int:
 def _load_pair(args):
     """The endpoint densities of ``--a`` and ``--b`` and their common
     potential; the library checks that they share a weight vector."""
+    import numpy as np
     rho_a, spec_a = load_density(args.a)
     rho_b, spec_b = load_density(args.b)
     if not np.array_equal(spec_a.phi, spec_b.phi):
@@ -207,6 +247,7 @@ def cmd_metric(args, cfg) -> int:
 
 
 def cmd_talagrand(args, cfg) -> int:
+    import numpy as np
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise ConfigError(f"--samples must lie in [1, {MAX_SAMPLES}]")
     cls = TalagrandClass(nu_inf=args.nu_inf, nu_sup=args.nu_sup)

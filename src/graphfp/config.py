@@ -15,13 +15,13 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .dynamics import KINDS, IntegratorConfig
 from .graph import GraphSpec, _read_floats, build_weights, parse_weight_family
-from .metric import GeodesicConfig
 from .simplex import Density, gibbs
 
 POTENTIAL_KINDS = ("constant", "linear", "random", "file")
 INITIAL_KINDS = ("gibbs_perturbed", "uniform", "file")
+# The flow kinds dynamics.integrate runs.
+KINDS = ("fpe", "phibar", "beta_zero", "master")
 
 
 class ConfigError(ValueError):
@@ -60,6 +60,56 @@ class InitialConfig:
 class DynamicsConfig:
     kind: str = "fpe"
     sign: float = -1.0
+
+
+# Most record times one trajectory may ask for (t_end / record_every): every
+# recorded state is kept in memory and written out.
+MAX_RECORDS = 10 ** 6
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    t_end: float = 5.0
+    record_every: float = 0.05
+    rel_tol: float = 1e-8
+    abs_tol: float = 1e-10
+    positivity_floor: float = 1e-13
+
+    def __post_init__(self):
+        if not (0.0 < self.t_end < math.inf):
+            raise ValueError("t_end must be positive and finite")
+        if not (0.0 < self.record_every <= self.t_end):
+            raise ValueError("record_every must lie in (0, t_end]")
+        if self.t_end / self.record_every > MAX_RECORDS:
+            raise ValueError(f"t_end / record_every must not exceed {MAX_RECORDS} records")
+        for name in ("rel_tol", "abs_tol", "positivity_floor"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be positive")
+
+
+# Most path entries, (knots + 1) x N, one geodesic call may hold: the
+# descent keeps about twenty arrays of that shape, some 350 MB at the bound.
+MAX_PATH_ENTRIES = 2 * 10 ** 6
+
+
+@dataclass(frozen=True)
+class GeodesicConfig:
+    knots: int = 32
+    max_iters: int = 2000
+    grad_tol: float = 1e-8
+    positivity_floor: float = 1e-13
+
+    def __post_init__(self):
+        if self.knots < 2:
+            raise ValueError("need at least 2 path segments")
+
+    def check_size(self, n: int) -> None:
+        """ValueError when a path over ``n`` vertices would exceed
+        MAX_PATH_ENTRIES."""
+        if (self.knots + 1) * n > MAX_PATH_ENTRIES:
+            raise ValueError(
+                f"geodesic.knots={self.knots} asks for {self.knots + 1} knots x N={n}, "
+                f"more than {MAX_PATH_ENTRIES} path entries")
 
 
 def _integral(v):

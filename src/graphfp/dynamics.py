@@ -19,14 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The integrator's settings live in config, which loads no solver; importing
+# them here keeps them importable from this module.
+from .config import KINDS, MAX_RECORDS, IntegratorConfig
 from .errors import InsufficientDataError, InvalidRowError, InvariantBreachError, \
     StiffnessError
 from .graph import GraphSpec
 from .metric import MobilityOperator, metric_inner
 from .simplex import ConstantsReport, Density, TangentVector, _m_dot, free_energy, gibbs, \
     l2m_norm_sq, relative_energy
-
-KINDS = ("fpe", "phibar", "beta_zero", "master")
 
 
 def is_gradient_flow(kind: str, beta: float) -> bool:
@@ -70,9 +71,6 @@ _DP_P = np.array([
 ])
 _THETA_POWERS = np.arange(1, 5)
 
-# Most record times one trajectory may ask for (t_end / record_every): every
-# recorded state is kept in memory and written out.
-MAX_RECORDS = 10 ** 6
 # Most recorded entries, records x N, one trajectory may hold: 160 MB of
 # float64 states, checked before the integration allocates any of them.
 MAX_RECORD_ENTRIES = 2 * 10 ** 7
@@ -144,26 +142,6 @@ def effective_potential_rhs(rho: Density, spec: GraphSpec, sign: float = -1.0) -
     phi_i + sign * beta * log rho_i (default sign -1); ties join neither sum."""
     _require_interior_for(spec, rho)
     return TangentVector(_rhs_closure("phibar", spec, sign)(rho.rho), rho.weights)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    t_end: float = 5.0
-    record_every: float = 0.05
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    positivity_floor: float = 1e-13
-
-    def __post_init__(self):
-        if not (0.0 < self.t_end < math.inf):
-            raise ValueError("t_end must be positive and finite")
-        if not (0.0 < self.record_every <= self.t_end):
-            raise ValueError("record_every must lie in (0, t_end]")
-        if self.t_end / self.record_every > MAX_RECORDS:
-            raise ValueError(f"t_end / record_every must not exceed {MAX_RECORDS} records")
-        for name in ("rel_tol", "abs_tol", "positivity_floor"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The geodesic's settings live in config, which loads no solver.
+from .config import GeodesicConfig
 from .errors import ConvergenceError
 from .simplex import Density, TangentVector, _m_dot, _scalar, l2m_norm_sq
 
@@ -29,10 +31,6 @@ KERNEL_RTOL = 1e-10
 # Lanczos steps of the kernel check, each one operator call; the basis
 # holds KRYLOV_DIM + 1 vectors of length N.
 KRYLOV_DIM = 64
-
-# Most path entries, (knots + 1) x N, one geodesic call may hold: the
-# descent keeps about twenty arrays of that shape, some 350 MB at the bound.
-MAX_PATH_ENTRIES = 2 * 10 ** 6
 
 # Relative error bound of the Gauss-Legendre rule on tie groups: half an ulp.
 _RULE_TOL = 2.0 ** -53
@@ -491,26 +489,6 @@ def kernel_dimension_check(rho: Density, phi) -> int:
 # ---------------------------------------------------------------------------
 # Geodesic distance by discrete action minimization
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeodesicConfig:
-    knots: int = 32
-    max_iters: int = 2000
-    grad_tol: float = 1e-8
-    positivity_floor: float = 1e-13
-
-    def __post_init__(self):
-        if self.knots < 2:
-            raise ValueError("need at least 2 path segments")
-
-    def check_size(self, n: int) -> None:
-        """ValueError when a path over ``n`` vertices would exceed
-        MAX_PATH_ENTRIES."""
-        if (self.knots + 1) * n > MAX_PATH_ENTRIES:
-            raise ValueError(
-                f"geodesic.knots={self.knots} asks for {self.knots + 1} knots x N={n}, "
-                f"more than {MAX_PATH_ENTRIES} path entries")
-
 
 @dataclass
 class GeodesicResult:

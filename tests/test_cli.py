@@ -1,6 +1,7 @@
 """End-to-end command line runs, file formats, and reproducibility."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import graphfp as g
 from graphfp import cli
 from graphfp.cli import main
+from graphfp.config import ExperimentConfig
 from graphfp.serialize import _csv_header_comment, fmt, load_density, save_density, \
     snapshots_to_csv
 from helpers import explicit_weights, random_interior, run_python
@@ -113,6 +115,116 @@ class TestImportPath:
                 f"print(main({args!r}), 'yaml' in sys.modules)")
         assert run_python(code) == "0 False"
         assert (tmp_path / "out" / "gibbs.txt").exists()
+
+    @pytest.mark.parametrize("argv, expected", [(["--help"], 0), ([], 2)])
+    def test_import_and_usage_load_no_library(self, argv, expected):
+        code = ("import contextlib, io, sys\n"
+                "from graphfp.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                "    try:\n"
+                f"        main({argv!r})\n"
+                "    except SystemExit as exc:\n"
+                "        code = exc.code\n"
+                "print(code, 'numpy' in sys.modules, "
+                "sorted(m for m in sys.modules if m.startswith('graphfp.')))")
+        assert run_python(code) == f"{expected} False ['graphfp.cli', 'graphfp.errors']"
+
+    @pytest.mark.parametrize("command, unloaded", [
+        ("gibbs", {"dynamics", "metric", "inequalities"}),
+        ("metric", {"dynamics", "inequalities"}),
+        ("w1", {"dynamics"}),
+        ("talagrand", {"dynamics"}),
+        ("simulate", {"inequalities"}),
+        ("sweep", {"inequalities"}),
+    ])
+    def test_command_loads_only_what_it_runs(self, tmp_path, command, unloaded):
+        short = [*SMALL_SET, "--set", "integrator.t_end=0.5",
+                 "--set", "integrator.record_every=0.25"]
+        pa, pb = _endpoint_files(tmp_path)
+        inputs = {"gibbs": SMALL_SET, "simulate": short,
+                  "sweep": [*short, "--set", "sweep.beta=[1.0]"],
+                  "metric": ["--a", pa, "--b", pb], "w1": ["--a", pa, "--b", pb],
+                  "talagrand": ["--config", "configs/talagrand.yaml", "--nu-inf", "0.5",
+                                "--nu-sup", "2.0", "--samples", "1"]}[command]
+        args = [command, *map(str, inputs), "--out", str(tmp_path / "out")]
+        code = ("import json, sys\n"
+                "from graphfp.cli import main\n"
+                f"code = main({args!r})\n"
+                "print(json.dumps([code, [m for m in sys.modules if m.startswith('graphfp.')]]))")
+        exit_code, loaded = json.loads(run_python(code))
+        assert exit_code == 0
+        assert not {f"graphfp.{m}" for m in unloaded} & set(loaded)
+
+    def test_entry_freezes_after_the_command_loads(self, tmp_path):
+        # the freeze must cover numpy and the library the command loaded,
+        # so it counts more objects than numpy and this module alone
+        argv = ["graphfp", "gibbs", *SMALL_SET, "--out", str(tmp_path / "out")]
+        code = ("import gc, sys\n"
+                f"sys.argv = {argv!r}\n"
+                "from graphfp.cli import entry\n"
+                "try:\n"
+                "    entry()\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, gc.get_freeze_count())")
+        exit_code, frozen = map(int, run_python(code).split())
+        bare = int(run_python("import gc, numpy, graphfp.cli; gc.freeze(); "
+                              "print(gc.get_freeze_count())"))
+        assert exit_code == 0
+        assert frozen > bare
+
+
+def _endpoint_files(tmp_path):
+    """Two interior density files on one potential."""
+    w = explicit_weights(6, seed=44)
+    spec = g.GraphSpec(weights=w, phi=np.random.default_rng(44).uniform(-1, 1, 6), beta=1.0)
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_density(pa, random_interior(44, w), spec)
+    save_density(pb, random_interior(45, w), spec)
+    return pa, pb
+
+
+class TestTracerContract:
+    """perfbench/tracecli.py times a command by replacing names in the
+    modules that call them: each name must exist there, and a replacement
+    must be what the command calls."""
+
+    def test_every_wrapped_name_resolves(self):
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "tracecli.py")
+        spec = importlib.util.spec_from_file_location("tracecli", path)
+        tracecli = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracecli)
+        for module_name, names in tracecli.WRAPPED.items():
+            module = importlib.import_module(module_name)
+            for name in names:
+                assert callable(getattr(module, name)), f"{module_name}.{name}"
+        for name in tracecli.WRAPPED_METHODS:
+            assert callable(getattr(ExperimentConfig, name)), name
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "integrate"), ("metric", "geodesic_distance"), ("w1", "w1_distance")])
+    def test_commands_call_the_replacement(self, tmp_path, monkeypatch, command, name):
+        calls = []
+        real = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+        if command == "simulate":
+            inputs = [*SMALL_SET, "--set", "integrator.t_end=0.5"]
+        else:
+            pa, pb = _endpoint_files(tmp_path)
+            if command == "w1":   # a boundary endpoint: W1 alone, no geodesic
+                rho, spec = load_density(pa)
+                raw = rho.rho.copy()
+                raw[0] = 0.0
+                save_density(pb, g.Density.normalized(raw, rho.weights), spec)
+            inputs = ["--a", pa, "--b", pb]
+        assert run([command, *inputs, "--out", tmp_path / "out"]) == 0
+        assert calls == [name]
 
 
 class TestTypedFlags:
