@@ -239,7 +239,7 @@ def cmd_metric(args, cfg) -> int:
     path_to_csv(_out(cfg, "path.csv"), geo.path, _meta(cfg))
     _report(cfg, "metric.json", {
         "distance": geo.distance,
-        "diagnostics": geo.as_dict(),
+        "diagnostics": geo,
         "action_history": list(geo.action_history),
         "endpoints": [os.path.basename(args.a), os.path.basename(args.b)],
     })
@@ -265,7 +265,7 @@ def cmd_talagrand(args, cfg) -> int:
         nu = sample_in_class(rng, spec.weights, cls)
         try:
             rep = verify_talagrand(mu, nu, cls, cfg.geodesic, constants=constants)
-            entries.append({"sample": k, **rep.as_dict()})
+            entries.append({"sample": k, **vars(rep)})
             all_passed &= rep.passed
         except ValueError as exc:
             entries.append({"sample": k, "passed": False, "violation": str(exc)})
@@ -283,7 +283,7 @@ def cmd_w1(args, cfg) -> int:
     mu, nu, phi = _load_pair(args)
     if mu.interior and nu.interior:
         rep = verify_w1_bound(mu, nu, phi, cfg.geodesic)
-        passed, payload = rep.passed, {**rep.as_dict(), "bound_checked": True}
+        passed, payload = rep.passed, {**vars(rep), "bound_checked": True}
     else:
         # boundary densities are valid W1 inputs, but the transport bound
         # needs interior endpoints; report the distance alone

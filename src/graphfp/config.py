@@ -33,12 +33,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GraphConfig:
+    """The ``graph`` section: the weight family and the truncation size N."""
+
     family: str = "geometric:q=0.5"
     N: int = 20
 
 
 @dataclass(frozen=True)
 class PotentialConfig:
+    """The ``potential`` section: how the vertex potential phi is built."""
+
     kind: str = "constant"
     c: float = 0.0
     slope: float = 0.1
@@ -50,6 +54,8 @@ class PotentialConfig:
 
 @dataclass(frozen=True)
 class InitialConfig:
+    """The ``initial`` section: how the start density is built."""
+
     kind: str = "gibbs_perturbed"
     epsilon: float = 0.5
     seed: int | None = None
@@ -58,6 +64,8 @@ class InitialConfig:
 
 @dataclass(frozen=True)
 class DynamicsConfig:
+    """The ``dynamics`` section: which flow is integrated, and its sign."""
+
     kind: str = "fpe"
     sign: float = -1.0
 
@@ -69,6 +77,8 @@ MAX_RECORDS = 10 ** 6
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """The ``integrator`` section: horizon, record spacing, tolerances, floor."""
+
     t_end: float = 5.0
     record_every: float = 0.05
     rel_tol: float = 1e-8
@@ -94,6 +104,8 @@ MAX_PATH_ENTRIES = 2 * 10 ** 6
 
 @dataclass(frozen=True)
 class GeodesicConfig:
+    """The ``geodesic`` section: path knots and the descent's stopping rules."""
+
     knots: int = 32
     max_iters: int = 2000
     grad_tol: float = 1e-8
@@ -216,6 +228,8 @@ def _parse_config_text(text: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A whole experiment config: its sections and its top-level keys."""
+
     graph: GraphConfig = GraphConfig()
     potential: PotentialConfig = PotentialConfig()
     beta: float = 1.0

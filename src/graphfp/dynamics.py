@@ -187,10 +187,19 @@ def _record_grid(config: IntegratorConfig) -> np.ndarray:
     return times
 
 
+def _rms(x) -> float:
+    """sqrt(mean(x**2)) without overflow in the squares: x is scaled by the
+    power of two of its largest entry first, which is exact, so the value is
+    bitwise that of the plain formula wherever no square over- or underflows
+    there."""
+    exp = math.frexp(float(np.abs(x).max()))[1]
+    return math.ldexp(math.sqrt(float(np.mean(np.ldexp(x, -exp) ** 2))), exp)
+
+
 def _initial_step(y0, f0, config):
-    scale = config.abs_tol + config.rel_tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    with np.errstate(over="ignore"):   # an infinite scale or ratio gives h0 0, inf or nan
+        scale = config.abs_tol + config.rel_tol * np.abs(y0)
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 0.01 * d0 / d1 if d1 > 0.0 else config.record_every
     return min(h0, config.t_end)
 
@@ -234,7 +243,7 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
     while t < t_final:
         last = t + h >= t_final * (1.0 - 1e-14)
         h_use = t_final - t if last else h
-        if h_use < 1e-14 * max(1.0, abs(t)):
+        if not h_use >= 1e-14 * max(1.0, abs(t)):   # a nan step ends here too
             raise StiffnessError(
                 f"step size underflow at t={t!r} (h={h_use!r})", t=t, state=y.copy()
             )
@@ -244,8 +253,8 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
             h = 0.5 * h_use
             continue
         y_new, K, err = out
-        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(invalid="ignore", over="ignore"):
+            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             en = math.sqrt(float(np.mean((err / scale) ** 2)))
         if not math.isfinite(en):
             stats.rejected["nonfinite"] += 1
@@ -343,6 +352,8 @@ def _by_block(states: Density, f) -> np.ndarray:
 
 @dataclass
 class CheckResult:
+    """Outcome of one monitor check: pass or fail, margin, and why it was skipped."""
+
     passed: bool
     margin: float = math.nan
     skipped: bool = False
@@ -355,6 +366,8 @@ class CheckResult:
 
 @dataclass
 class MonitorReport:
+    """Every monitor check of one trajectory, by name."""
+
     checks: dict
 
     @property

@@ -106,6 +106,8 @@ def talagrand_constants(mu: Density, cls: TalagrandClass) -> TalagrandConstants:
 
 @dataclass
 class TalagrandReport:
+    """Outcome of one transport-entropy check, distance^2 <= kappa * H."""
+
     passed: bool
     distance_bound: float     # midpoint-rule geodesic distance, the transport side
     entropy: float
@@ -114,19 +116,7 @@ class TalagrandReport:
     ratio: float              # lhs / entropy, the informative observable
     constants: TalagrandConstants
     geodesic: GeodesicResult
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "distance_bound": self.distance_bound,
-            "entropy": self.entropy,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "constants": self.constants,
-            "geodesic": self.geodesic.as_dict(),
-            "ground_metric": GROUND_METRIC_NOTE,
-        }
+    ground_metric: str = GROUND_METRIC_NOTE
 
 
 def verify_talagrand(mu: Density, nu: Density, cls: TalagrandClass,
@@ -201,21 +191,14 @@ def w1_distance(mu: Density, nu: Density) -> float:
 
 @dataclass
 class W1Report:
+    """Outcome of one comparison check, W1 <= sqrt(2) * distance."""
+
     passed: bool
     w1: float
     distance_bound: float
     bound: float              # sqrt(2) * distance_bound + slack
     geodesic: GeodesicResult
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "w1": self.w1,
-            "distance_bound": self.distance_bound,
-            "bound": self.bound,
-            "geodesic": self.geodesic.as_dict(),
-            "ground_metric": GROUND_METRIC_NOTE,
-        }
+    ground_metric: str = GROUND_METRIC_NOTE
 
 
 def verify_w1_bound(mu: Density, nu: Density, phi,

@@ -496,34 +496,21 @@ class GeodesicResult:
     attains it as one (knots + 1, N) :class:`Density`, and why the descent
     stopped: ``stop_reason`` is ``"converged"`` (gradient norm at or below
     ``grad_tol``), ``"stall"`` (60 step halvings found no acceptable step)
-    or ``"max_iters"``; ``iterations`` counts accepted steps and
-    ``segment_solves`` the batched mobility solves of the call."""
+    or ``"max_iters"``, and ``converged`` says whether it is the first;
+    ``iterations`` counts accepted steps and ``segment_solves`` the batched
+    mobility solves of the call. The report leaves out ``path`` and
+    ``action_history`` (``report: False``); the CLI writes them apart."""
 
     distance: float
-    path: Density
+    path: Density = field(metadata={"report": False})
     action: float
     iterations: int
     grad_norm: float
     stop_reason: str
-    action_history: list = field(default_factory=list)
+    converged: bool
+    action_history: list = field(default_factory=list, metadata={"report": False})
     warnings: tuple = ()
     segment_solves: int = 0
-
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == "converged"
-
-    def as_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "action": self.action,
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "segment_solves": self.segment_solves,
-            "warnings": list(self.warnings),
-        }
 
 
 def _segment_solve(path, op: MobilityOperator):
@@ -626,7 +613,8 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
     if np.array_equal(rho_a.rho, rho_b.rho):
         path = Density(np.broadcast_to(rho_a.rho, (K + 1, m.size)), weights)
         return GeodesicResult(distance=0.0, path=path, action=0.0, iterations=0,
-                              grad_norm=0.0, stop_reason="converged", action_history=[0.0])
+                              grad_norm=0.0, stop_reason="converged", converged=True,
+                              action_history=[0.0])
 
     t = np.linspace(0.0, 1.0, K + 1)[:, None]
     x = (1.0 - t) * rho_a.rho[None, :] + t * rho_b.rho[None, :]
@@ -694,6 +682,7 @@ def geodesic_distance(rho_a: Density, rho_b: Density, phi,
         iterations=it,
         grad_norm=gnorm,
         stop_reason=stop,
+        converged=stop == "converged",
         action_history=history,
         warnings=tuple(warn),
         segment_solves=solves,

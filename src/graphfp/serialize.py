@@ -27,7 +27,8 @@ def fmt(x) -> str:
 
 def jsonify(obj):
     """Recursively coerce numpy scalars and arrays, and dataclass instances
-    (a dataclass's fields are its keys), so json can serialize them. A
+    (a dataclass's fields are its keys, except those declared with
+    ``metadata={"report": False}``), so json can serialize them. A
     non-finite float, numpy or not, becomes its text "inf", "-inf" or "nan"."""
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
@@ -43,7 +44,8 @@ def jsonify(obj):
         return obj if math.isfinite(obj) else repr(obj)
     if hasattr(type(obj), "__dataclass_fields__"):
         from dataclasses import fields   # already loaded: obj is a dataclass
-        return {f.name: jsonify(getattr(obj, f.name)) for f in fields(obj)}
+        return {f.name: jsonify(getattr(obj, f.name)) for f in fields(obj)
+                if f.metadata.get("report", True)}
     return obj
 
 
@@ -67,7 +69,8 @@ def save_density(path, rho: Density, spec: GraphSpec) -> None:
 
 
 def load_density(path) -> tuple[Density, GraphSpec]:
-    """Read back a density file; its weights carry no tail."""
+    """Read back a density file; its weights carry no tail. Only blank lines
+    may follow the N vertex rows."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -86,6 +89,8 @@ def load_density(path) -> tuple[Density, GraphSpec]:
             if idx != k + 1:
                 raise ValueError(f"{path}: row index {idx} out of order")
             m[k], phi[k], rho[k] = (float(p) for p in parts[1:])
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: text after the {n} vertex rows the header declares")
     weights = WeightSequence(m=m, raw_tail_mass=0.0)
     spec = GraphSpec(weights=weights, phi=phi, beta=beta)
     return Density(rho, weights), spec

@@ -381,6 +381,17 @@ class TestDensityFileFormat:
         with pytest.raises(ValueError):
             load_density(p)
 
+    def test_rows_past_the_header_count_rejected(self, tmp_path):
+        rows = "2 1.0\n1 0.5 0.0 1.0\n2 0.5 0.0 1.0\n"
+        ok, long = tmp_path / "ok.txt", tmp_path / "long.txt"
+        ok.write_text(rows + "\n  \n")   # trailing blank lines are fine
+        long.write_text(rows + "3 0.5 0.0 1.0\ngarbage\n")
+        load_density(ok)
+        with pytest.raises(ValueError, match="after the 2 vertex rows"):
+            load_density(long)
+        assert run(["w1", "--a", long, "--b", ok, "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 def _per_value_rows(rho):
     """The snapshot rows as the per-value formatter wrote them."""
@@ -705,6 +716,89 @@ class TestW1Command:
         assert run(["w1", "--a", pa, "--b", pb, "--set", "geodesic.knots=100000000",
                     "--out", tmp_path / "out"]) == 2
         assert not (tmp_path / "out").exists()
+
+
+def _keys_at(body, key, where=()):
+    """Every place in a JSON report, outside its embedded config, that
+    holds ``key``, as a tuple of keys."""
+    found = []
+    if isinstance(body, dict):
+        body = {k: v for k, v in body.items() if k != "config"}
+        found += [where] if key in body else []
+        for k, v in body.items():
+            found += _keys_at(v, key, (*where, k))
+    elif isinstance(body, list):
+        for v in body:
+            found += _keys_at(v, key, (*where, "[]"))
+    return found
+
+
+_RUN_KEYS = {"schema", "config", "seed"}
+_DIAGNOSTIC_KEYS = {"distance", "action", "iterations", "grad_norm", "converged",
+                  "stop_reason", "segment_solves", "warnings"}
+_TALAGRAND_CONSTANT_KEYS = {"class_lower", "class_upper", "condition_ratio", "mixing_rate",
+                            "mixing_time", "kappa", "tail_cutoff", "min_prefix_weight",
+                            "norm_bound"}
+
+
+class TestReportKeys:
+    """The exact key sets of the geodesic, comparison and transport-entropy
+    reports: each report's keys are its dataclass's fields, and the geodesic
+    path and action history appear only where the CLI writes them."""
+
+    def _pair(self, tmp_path, boundary=False):
+        w = explicit_weights(6, seed=44)
+        spec = g.GraphSpec(weights=w, phi=np.random.default_rng(44).uniform(-1, 1, 6),
+                           beta=1.0)
+        b = random_interior(45, w).rho.copy()
+        if boundary:
+            b[2] = 0.0
+        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_density(pa, random_interior(44, w), spec)
+        save_density(pb, g.Density.normalized(b, w), spec)
+        return pa, pb
+
+    def _report(self, tmp_path, args, name):
+        assert run([*args, "--out", tmp_path / "out"]) == 0
+        return json.loads((tmp_path / "out" / name).read_text())
+
+    def test_metric(self, tmp_path):
+        pa, pb = self._pair(tmp_path)
+        body = self._report(tmp_path, ["metric", "--a", pa, "--b", pb], "metric.json")
+        assert set(body) == _RUN_KEYS | {"distance", "diagnostics", "action_history",
+                                         "endpoints"}
+        assert set(body["diagnostics"]) == _DIAGNOSTIC_KEYS
+        assert _keys_at(body, "action_history") == [()]
+        assert _keys_at(body, "path") == []
+        assert (tmp_path / "out" / "path.csv").exists()
+
+    def test_w1_interior_pair(self, tmp_path):
+        pa, pb = self._pair(tmp_path)
+        body = self._report(tmp_path, ["w1", "--a", pa, "--b", pb], "w1.json")
+        assert set(body) == _RUN_KEYS | {"passed", "w1", "distance_bound", "bound",
+                                         "geodesic", "ground_metric", "bound_checked"}
+        assert set(body["geodesic"]) == _DIAGNOSTIC_KEYS
+        assert body["ground_metric"] == "unit distance between all distinct vertex pairs"
+        assert _keys_at(body, "action_history") == _keys_at(body, "path") == []
+
+    def test_w1_boundary_pair(self, tmp_path):
+        pa, pb = self._pair(tmp_path, boundary=True)
+        body = self._report(tmp_path, ["w1", "--a", pa, "--b", pb], "w1.json")
+        assert set(body) == _RUN_KEYS | {"w1", "distance_bound", "bound_checked"}
+
+    def test_talagrand(self, tmp_path):
+        body = self._report(tmp_path, ["talagrand", "--config", "configs/talagrand.yaml",
+                                       "--nu-inf", 0.5, "--nu-sup", 2.0, "--samples", 1],
+                            "talagrand.json")
+        assert set(body) == _RUN_KEYS | {"class", "constants", "samples", "all_passed"}
+        assert set(body["class"]) == {"nu_inf", "nu_sup"}
+        assert set(body["constants"]) == _TALAGRAND_CONSTANT_KEYS
+        (sample,) = body["samples"]
+        assert set(sample) == {"sample", "passed", "distance_bound", "entropy", "lhs", "rhs",
+                               "ratio", "constants", "geodesic", "ground_metric"}
+        assert set(sample["constants"]) == _TALAGRAND_CONSTANT_KEYS
+        assert set(sample["geodesic"]) == _DIAGNOSTIC_KEYS
+        assert _keys_at(body, "action_history") == _keys_at(body, "path") == []
 
 
 class TestTalagrandCommand:

@@ -1,6 +1,7 @@
 """Right-hand sides, the adaptive integrator, monitors, and the decay fit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,42 @@ class TestIntegrate:
         with pytest.raises(StiffnessError) as err:
             g.integrate("fpe", rho0, spec, cfg)
         assert err.value.state is not None
+
+    @pytest.mark.parametrize("tol", [1e-300, 5e-324])
+    def test_extreme_tolerances_end_within_a_step_budget(self, monkeypatch, tol):
+        # the first step size squared overflowing ratios into h = inf / inf,
+        # and a nan step was rejected and halved to nan without end
+        spec, rho0 = _decay_instance("fpe")
+        cfg = g.IntegratorConfig(t_end=4.0, record_every=0.05, abs_tol=tol, rel_tol=tol)
+        step, calls = dynamics._dp54_step, []
+
+        def budgeted(*args):
+            calls.append(None)
+            assert len(calls) <= 1000, "no end within the step budget"
+            return step(*args)
+
+        monkeypatch.setattr(dynamics, "_dp54_step", budgeted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StiffnessError, match="step size underflow"):
+                g.integrate("fpe", rho0, spec, cfg)
+
+    def test_huge_tolerances_warn_nothing(self):
+        # the error scale abs_tol + rel_tol |y| overflows to inf
+        spec, rho0 = _decay_instance("fpe")
+        cfg = g.IntegratorConfig(t_end=1.0, record_every=0.5, abs_tol=1e308, rel_tol=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = g.integrate("fpe", rho0, spec, cfg)
+        assert np.isfinite(traj.states.rho).all()
+
+    def test_rms_is_the_plain_formula_without_overflow(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-140, 1e-5, 1.0, 1e7, 1e140):
+            x = scale * rng.standard_normal(50) * np.exp(rng.uniform(-10, 10, 50))
+            assert dynamics._rms(x) == math.sqrt(float(np.mean(x ** 2)))
+        assert dynamics._rms(np.full(4, 1e300)) == pytest.approx(1e300, rel=1e-15)
+        assert dynamics._rms(np.zeros(3)) == 0.0
 
 
 def _decay_instance(kind):

@@ -16,6 +16,7 @@ from graphfp import metric
 from scipy.optimize import minimize
 
 from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve, _time_laplacian_solve
+from graphfp.serialize import jsonify
 import dense_oracle
 from dense_oracle import log_mean
 from helpers import explicit_weights, half_weights, random_interior, random_tangent
@@ -433,7 +434,7 @@ class TestGeodesic:
         rho = random_interior(4, w)
         res = g.geodesic_distance(rho, rho, np.zeros(5))
         assert res.distance == 0.0
-        assert res.as_dict()["stop_reason"] == "converged"
+        assert jsonify(res)["stop_reason"] == "converged"
         assert res.path.rho.shape == (33, 5) and (res.path.rho == rho.rho).all()
 
     @pytest.mark.parametrize("phi,a,b", [
@@ -649,7 +650,7 @@ class TestPreconditionedDescent:
         monkeypatch.setattr(metric, "_segment_solve", lambda *a: calls.append(1) or solve(*a))
         res = g.geodesic_distance(*_pair(n, ties, geometric))
         assert len(res.action_history) == res.iterations + 1
-        assert res.segment_solves == len(calls) == res.as_dict()["segment_solves"]
+        assert res.segment_solves == len(calls) == jsonify(res)["segment_solves"]
         assert res.segment_solves > res.iterations
 
     def test_stalled_search_reuses_the_repeated_trial(self, monkeypatch):
@@ -710,4 +711,4 @@ class TestPreconditionedDescent:
         assert not res.converged
         assert res.iterations == 3
         assert "max_iters" in res.warnings
-        assert res.as_dict()["stop_reason"] == "max_iters"
+        assert jsonify(res)["stop_reason"] == "max_iters"

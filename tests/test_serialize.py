@@ -115,6 +115,16 @@ class TestJsonify:
         for report in reports[3:]:   # all fields finite
             assert jsonify(report) == dataclasses.asdict(report)
 
+    def test_fields_left_out_of_the_report_are_skipped(self):
+        @dataclasses.dataclass
+        class Report:
+            kept: float
+            big: list = dataclasses.field(default_factory=list, metadata={"report": False})
+            other: dict = dataclasses.field(default_factory=dict, metadata={"unit": "s"})
+
+        assert jsonify({"r": Report(0.5, [1.0], {"a": 1})}) == {"r": {"kept": 0.5,
+                                                                      "other": {"a": 1}}}
+
     def test_monitor_checks_keep_the_report_keys(self):
         checks = {"free_energy_decrease": CheckResult(True, 1e-3),
                   "decay_bound": CheckResult(False, math.nan, skipped=True, detail="no constants")}
