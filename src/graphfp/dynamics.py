@@ -255,7 +255,7 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
         y_new, K, err = out
         with np.errstate(invalid="ignore", over="ignore"):
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            en = math.sqrt(float(np.mean((err / scale) ** 2)))
+            en = _rms(err / scale)
         if not math.isfinite(en):
             stats.rejected["nonfinite"] += 1
             h = 0.5 * h_use
@@ -511,15 +511,23 @@ def _check_dissipation(traj):
 
 
 def decay_rate_fit(traj: TrajectoryRecord) -> float:
-    """Least-squares slope of log L(t) over the window where L > 1e-12,
-    returned as a positive rate."""
+    """Least-squares slope of log L(t) over the window where L is finite and
+    > 1e-12, returned as a positive rate.
+
+    The slope of one variable has the closed form
+    sum (t - tbar)(y - ybar) / sum (t - tbar)^2 with y = log L, over times
+    centred first so that a late window loses no digits. Elementwise sums
+    call no least-squares solver, and so no LAPACK routine.
+    """
     L = traj.L_values
     ok = np.isfinite(L) & (L > 1e-12)
     if int(ok.sum()) < 5:
         raise InsufficientDataError(
             f"only {int(ok.sum())} usable points for the decay fit (need 5)"
         )
-    slope = float(np.polyfit(traj.times[ok], np.log(L[ok]), 1)[0])
+    t, y = traj.times[ok], np.log(L[ok])
+    tc = t - t.mean()
+    slope = float((tc * (y - y.mean())).sum() / (tc * tc).sum())
     if slope >= 0.0:
         raise InsufficientDataError("relative energy is not decreasing over the window")
     return -slope

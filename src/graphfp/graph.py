@@ -290,5 +290,5 @@ def _warn_near_ties(phi: np.ndarray) -> None:
             f"{gaps[k]:.3e} (< {NEAR_TIE_GAP:g}) but are not equal; branch "
             "selection compares exactly",
             NearTieWarning,
-            stacklevel=3,
+            stacklevel=4,   # past __post_init__ and the generated __init__
         )

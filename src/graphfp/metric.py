@@ -402,14 +402,6 @@ class NormEquivalenceReport:
     lower_sigma: float    # ||sigma||^2 - inf(rho)^2/sup(rho) g
     upper_sigma: float    # 2 sup(rho) g - ||sigma||^2
 
-    def margins(self) -> dict:
-        return {
-            "lower_g": self.lower_g,
-            "upper_g": self.upper_g,
-            "lower_sigma": self.lower_sigma,
-            "upper_sigma": self.upper_sigma,
-        }
-
 
 def norm_equivalence_check(rho: Density, phi, sigma: TangentVector) -> NormEquivalenceReport:
     """Evaluate the two-sided comparisons between g, ||p||, and ||sigma||."""

@@ -169,10 +169,6 @@ class TangentVector:
         s.setflags(write=False)
         object.__setattr__(self, "sigma", s)
 
-    @property
-    def norm_inf(self):
-        return _scalar(np.abs(self.sigma).max(-1))
-
 
 def project_tangent(x, weights: WeightSequence) -> TangentVector:
     """Remove the weighted mean, row by row: x minus (sum_i m_i x_i) times

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,14 +50,14 @@ class TestFokkerPlanckRhs:
     def test_gibbs_is_stationary(self, seed, n, beta):
         spec = random_instance(seed, n, beta=beta)
         out = g.fokker_planck_rhs(g.gibbs(spec), spec)
-        assert out.norm_inf <= 1e-10
+        assert np.abs(out.sigma).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mass_conservation(self, seed):
         spec = random_instance(seed, 20, beta=1.0)
         rho = random_interior(seed, spec.weights)
         out = g.fokker_planck_rhs(rho, spec)
-        assert abs(float(np.dot(spec.m, out.sigma))) <= 1e-12 * (1 + out.norm_inf)
+        assert abs(float(np.dot(spec.m, out.sigma))) <= 1e-12 * (1 + np.abs(out.sigma).max())
 
     def test_boundary_rejected_for_positive_beta(self):
         spec = g.GraphSpec(weights=half_weights(), phi=np.array([0.0, 1.0]), beta=1.0)
@@ -107,7 +109,7 @@ class TestEffectivePotentialRhs:
         star = g.gibbs(spec)
         for sign in (-1.0, 1.0):
             out = g.effective_potential_rhs(star, spec, sign=sign)
-            assert out.norm_inf <= 1e-10
+            assert np.abs(out.sigma).max() <= 1e-10
 
     def test_zero_potential_form(self):
         # summands beta*(log rho_j - log rho_i), branches by -sign-adjusted log rho
@@ -132,7 +134,7 @@ class TestEffectivePotentialRhs:
             spec = random_instance(seed, 30, beta=1.5)
             rho = random_interior(seed + 9, spec.weights)
             out = g.effective_potential_rhs(rho, spec, sign=sign)
-            assert abs(float(np.dot(spec.m, out.sigma))) <= 1e-12 * (1 + out.norm_inf)
+            assert abs(float(np.dot(spec.m, out.sigma))) <= 1e-12 * (1 + np.abs(out.sigma).max())
 
     def test_sign_changes_branching(self):
         spec = _spec([0.1, -0.2, 0.3], beta=2.0, seed=8)
@@ -174,7 +176,7 @@ class TestTangentValidity:
                 out = _kind_rhs(kind, rho, spec)
             # TangentVector construction enforces 1e-12
             worst = max(worst,
-                        abs(float(np.dot(w.m, out.sigma))) / (1 + out.norm_inf))
+                        abs(float(np.dot(w.m, out.sigma))) / (1 + np.abs(out.sigma).max()))
         assert worst <= 1e-12
 
 
@@ -264,6 +266,24 @@ class TestIntegrate:
             warnings.simplefilter("error")
             with pytest.raises(StiffnessError, match="step size underflow"):
                 g.integrate("fpe", rho0, spec, cfg)
+
+    def test_overflowing_error_estimate_counts_as_error(self, monkeypatch):
+        # at 1e-300 the scaled error's squares overflow, but every stage and
+        # the estimate itself are finite: too large an error, not a nan
+        spec, rho0 = _decay_instance("fpe")
+        cfg = g.IntegratorConfig(t_end=4.0, record_every=0.05, abs_tol=1e-300, rel_tol=1e-300)
+        made, stats = dynamics.IntegratorStats, []
+
+        def recorded():
+            stats.append(made())
+            return stats[-1]
+
+        monkeypatch.setattr(dynamics, "IntegratorStats", recorded)
+        with pytest.raises(StiffnessError, match="step size underflow"):
+            g.integrate("fpe", rho0, spec, cfg)
+        (rejected,) = [s.rejected for s in stats]
+        assert rejected["nonfinite"] == 0
+        assert rejected["error"] > 0
 
     def test_huge_tolerances_warn_nothing(self):
         # the error scale abs_tol + rel_tol |y| overflows to inf
@@ -477,6 +497,11 @@ class TestMonitor:
         assert not rep.checks["linf_master_decay"].skipped
 
 
+def _window(times, L):
+    """What decay_rate_fit reads of a trajectory: its times and L values."""
+    return SimpleNamespace(times=times, L_values=L)
+
+
 class TestDecayRateFit:
     def test_master_closed_form_rate(self):
         # L(t) = L(0) exp(-2t) for the symmetric two-state system
@@ -486,6 +511,42 @@ class TestDecayRateFit:
                            g.IntegratorConfig(t_end=3.0, record_every=0.05))
         rate = g.decay_rate_fit(traj)
         assert rate == pytest.approx(2.0, rel=0.02)
+
+    def test_exact_exponential_on_the_record_grid(self):
+        times = dynamics._record_grid(g.IntegratorConfig(t_end=4.0, record_every=0.05))
+        for c in (1e-5, 3.0, 1e5):
+            rate = g.decay_rate_fit(_window(times, c * np.exp(-2.0 * times)))
+            assert abs(rate - 2.0) <= 4 * np.spacing(2.0)
+
+    def test_slope_is_the_exact_least_squares_slope(self):
+        # windows whose offsets, slopes and noise span several orders of
+        # magnitude, against the slope in rational arithmetic over the same
+        # window; np.polyfit misses it by up to 7e-11 on some of these
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            n = int(rng.integers(5, 200))
+            times = (rng.integers(0, 2) * 10.0 ** rng.uniform(-2, 3)
+                     + 10.0 ** rng.uniform(-3, 0) * np.arange(n))
+            drop = 10.0 ** rng.uniform(-4, 2.7)
+            logL = (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 1.3)
+                    + drop * (times[-1] - times) / (times[-1] - times[0])
+                    + 10.0 ** rng.uniform(-10, -1) * drop * rng.standard_normal(n))
+            L = np.exp(logL)
+            ok = L > 1e-12
+            t = [Fraction(v) for v in times[ok]]
+            y = [Fraction(v) for v in np.log(L[ok])]
+            tbar, ybar = sum(t) / len(t), sum(y) / len(y)
+            exact = float(sum((a - tbar) * (b - ybar) for a, b in zip(t, y))
+                          / sum((a - tbar) ** 2 for a in t))
+            assert g.decay_rate_fit(_window(times, L)) == pytest.approx(-exact, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["fpe", "phibar", "master"])
+    def test_slope_matches_polyfit_on_decay_runs(self, kind):
+        spec, rho0 = _decay_instance(kind)
+        traj = g.integrate(kind, rho0, spec, g.IntegratorConfig(t_end=4.0, record_every=0.05))
+        ok = np.isfinite(traj.L_values) & (traj.L_values > 1e-12)
+        oracle = -np.polyfit(traj.times[ok], np.log(traj.L_values[ok]), 1)[0]
+        assert g.decay_rate_fit(traj) == pytest.approx(oracle, rel=1e-12)
 
     def test_constant_trajectory_rejected(self):
         spec = random_instance(9, 5, beta=1.0)

@@ -268,8 +268,10 @@ class TestGraphSpec:
 
     def test_near_tie_warning(self):
         w = explicit_weights(2)
-        with pytest.warns(NearTieWarning):
+        with pytest.warns(NearTieWarning) as record:
             g.GraphSpec(weights=w, phi=np.array([0.0, 1e-13]), beta=1.0)
+        # the warning names the line that built the spec
+        assert [r.filename for r in record] == [__file__]
 
     def test_exact_ties_are_silent(self):
         import warnings

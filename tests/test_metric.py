@@ -277,6 +277,10 @@ class TestMetricInner:
         assert val == pytest.approx(direct, rel=1e-9)
 
 
+# the four inequality margins of a NormEquivalenceReport
+_MARGINS = ("lower_g", "upper_g", "lower_sigma", "upper_sigma")
+
+
 class TestNormEquivalence:
     def test_uniform_density_collapses(self):
         w = explicit_weights(7)
@@ -284,8 +288,8 @@ class TestNormEquivalence:
         sig = random_tangent(1, w)
         rep = g.norm_equivalence_check(rho, np.zeros(7), sig)
         assert rep.g == pytest.approx(rep.p_norm_sq, rel=1e-12)
-        for margin in rep.margins().values():
-            assert margin >= -1e-12 * (rep.g + rep.sigma_norm_sq + rep.p_norm_sq)
+        for name in _MARGINS:
+            assert getattr(rep, name) >= -1e-12 * (rep.g + rep.sigma_norm_sq + rep.p_norm_sq), name
 
     @pytest.mark.parametrize("seed", range(10))
     def test_margins_nonnegative(self, seed):
@@ -295,8 +299,8 @@ class TestNormEquivalence:
         sig = random_tangent(seed, w)
         rep = g.norm_equivalence_check(rho, phi, sig)
         scale = rep.g + rep.sigma_norm_sq + rep.p_norm_sq
-        for name, margin in rep.margins().items():
-            assert margin >= -1e-12 * scale, name
+        for name in _MARGINS:
+            assert getattr(rep, name) >= -1e-12 * scale, name
 
     def test_zero_tangent(self):
         w = explicit_weights(5)
