@@ -114,6 +114,12 @@ class GeodesicConfig:
     def __post_init__(self):
         if self.knots < 2:
             raise ValueError("need at least 2 path segments")
+        if self.max_iters < 0:
+            raise ValueError("geodesic.max_iters must be at least 0")
+        if not (0.0 <= self.grad_tol < math.inf):
+            raise ValueError("geodesic.grad_tol must be finite and at least 0")
+        if not (0.0 < self.positivity_floor < math.inf):
+            raise ValueError("geodesic.positivity_floor must be positive and finite")
 
     def check_size(self, n: int) -> None:
         """ValueError when a path over ``n`` vertices would exceed

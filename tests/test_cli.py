@@ -627,6 +627,19 @@ class TestMetricCommand:
         assert diag["iterations"] == 3 and "max_iters" in diag["warnings"]
         assert diag["segment_solves"] >= 4   # the start and one per accepted step
 
+    @pytest.mark.parametrize("setting", [
+        "geodesic.grad_tol=.nan", "geodesic.grad_tol=-1", "geodesic.grad_tol=.inf",
+        "geodesic.max_iters=-1", "geodesic.positivity_floor=-1",
+        "geodesic.positivity_floor=0", "geodesic.positivity_floor=.nan"])
+    def test_unusable_geodesic_setting_is_config_error(self, tmp_path, capsys, setting):
+        # a nan grad_tol once stopped "converged" after 0 iterations at the
+        # straight line, and max_iters=-1 lifted the iteration cap
+        pa, pb = self._endpoints(tmp_path, same=False)
+        assert run(["metric", "--a", pa, "--b", pb, "--set", setting,
+                    "--out", tmp_path / "out"]) == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["metric", "w1", "talagrand"])
     def test_huge_path_is_config_error(self, tmp_path, capsys, command):
         # 100000001 knots x N would be allocated before the first step

@@ -56,7 +56,9 @@ def test_defaults_are_the_cli_defaults():
     {"graph": {"N": 12.7}}, {"graph": {"N": "12"}}, {"seed": True}, {"write_states": "no"},
     {"write_states": 1}, {"graph": {"family": None}},
     {"outputs": False}, {"integrator": {"rel_tol": None}}, {"sweep": [1]},
-    {"potential": {"seed": 0.5}}])
+    {"potential": {"seed": 0.5}}, {"geodesic": {"grad_tol": float("nan")}},
+    {"geodesic": {"grad_tol": -1.0}}, {"geodesic": {"max_iters": -1}},
+    {"geodesic": {"positivity_floor": -1.0}}, {"geodesic": {"positivity_floor": 0.0}}])
 def test_wrong_type_is_config_error(tree):
     with pytest.raises(ConfigError):
         ExperimentConfig.load(values=tree)

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import graphfp as g
+import graphfp.metric
 import dense_oracle
+from graphfp.cli import main
 from graphfp.dynamics import _rhs_closure
-from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve
+from graphfp.metric import MobilityOperator, _gauss_solve, _path_gradient, _segment_solve
+from graphfp.serialize import save_density
 from helpers import explicit_weights, run_python
 
 
@@ -218,6 +221,121 @@ def test_constant_potential_solve_memory():
     assert peak < 16e6
     res = op.apply(rho.rho, p) - sigma
     assert np.sqrt(spec.m @ (res * res)) <= 1e-12 * np.sqrt(spec.m @ (sigma * sigma))
+
+
+def _levels_solve(n=1000, rows=31, seed=3):
+    """(op, rho, sigma): a stack of ``rows`` densities uniform on [0.5, 1.5]
+    and mean-free right-hand sides, on a potential with the levels {0, 1, 2}."""
+    w = explicit_weights(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.5, 1.5, (rows, n))
+    sigma = g.project_tangent(rng.normal(size=(rows, n)), w).sigma
+    return MobilityOperator(rng.integers(0, 3, n).astype(float), w.m), raw / (raw @ w.m)[:, None], sigma
+
+
+def test_stacked_tie_solve_memory():
+    # 31 rows over three tie groups of about 330 vertices: forming the
+    # Woodbury Gram as one (rows, Q + 1, Q + 1, tied vertices) broadcast
+    # peaks at 27.9 MB on this instance, the per-size products at 13.6 MB
+    op, rho, sigma = _levels_solve()
+    op.solve(rho[:1], sigma[:1])     # the rule's cached nodes are not counted
+    tracemalloc.start()
+    try:
+        p = op.solve(rho, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    res = op.apply(rho, p) - sigma
+    assert (np.sqrt((res * res) @ op.m) <= 1e-14 * np.sqrt((sigma * sigma) @ op.m)).all()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("np.linalg.solve called")
+
+
+@pytest.mark.parametrize("n,ties,spread", [c for c in _cases([20, 200]) if c.values[1]])
+def test_tie_solve_calls_no_lapack(monkeypatch, n, ties, spread):
+    monkeypatch.setattr(np.linalg, "solve", _refuse)
+    spec, rho = _instance(n, 7, ties, spread=spread)
+    op = MobilityOperator(spec.phi, spec.m)
+    sigma = g.project_tangent(np.random.default_rng(n + 1).normal(size=n), spec.weights).sigma
+    _close(op.apply(rho.rho, op.solve(rho.rho, sigma)), sigma)
+    r, tie = rho.rho, spec.phi[:, None] == spec.phi[None, :]
+    partial = dense_oracle.log_mean_partial(r[:, None], r[None, :])
+    _close(op.tie_sq(r, sigma), (tie * partial * (sigma[:, None] - sigma[None, :]) ** 2) @ spec.m)
+
+
+def test_tie_commands_call_no_lapack(monkeypatch, tmp_path):
+    # the master run is one tie group; the pair has the potential levels {0, 1, 2}
+    monkeypatch.setattr(np.linalg, "solve", _refuse)
+    assert main(["simulate", "--config", "configs/master.yaml",
+                 "--out", str(tmp_path / "master")]) == 0
+    w = explicit_weights(30, seed=12)
+    spec = g.GraphSpec(weights=w, phi=np.random.default_rng(12).integers(0, 3, 30).astype(float),
+                       beta=1.0)
+    for side, seed in (("a", 120), ("b", 121)):
+        rho = np.random.default_rng(seed).uniform(0.5, 1.5, 30)
+        save_density(tmp_path / f"{side}.txt", g.Density.normalized(rho, w), spec)
+    assert main(["metric", "--a", str(tmp_path / "a.txt"), "--b", str(tmp_path / "b.txt"),
+                 "--out", str(tmp_path / "metric")]) == 0
+
+
+def _check_against_lapack(aug, k):
+    """_gauss_solve on the augmented systems aug against np.linalg.solve,
+    to a forward error of 100 ulp times each system's condition number."""
+    a, b = aug[..., :k], aug[..., k:]
+    x = _gauss_solve(aug)
+    ref = np.linalg.solve(a, b)
+    scale = np.abs(ref).max((-2, -1)) * np.linalg.cond(a)
+    assert (np.abs(x - ref).max((-2, -1)) <= 100 * np.finfo(float).eps * scale).all()
+    # backward stable: the residual is a few ulp of |A| |x|
+    res = np.abs(a @ x - b).max((-2, -1))
+    assert (res <= 16 * k * np.finfo(float).eps * (np.abs(a) @ np.abs(x)).max((-2, -1))).all()
+
+
+@pytest.mark.parametrize("case", ["random", "zero_pivot", "tiny_pivot", "near_singular"])
+def test_gauss_solve_against_lapack(case):
+    rng = np.random.default_rng(["random", "zero_pivot", "tiny_pivot", "near_singular"].index(case))
+    a = rng.normal(size=(3, 50, 6, 6))
+    if case == "zero_pivot":
+        a[..., 0, 0] = 0.0          # the first step must swap rows
+        a[..., 3, 3] = 0.0
+    elif case == "tiny_pivot":
+        a[..., 0, 0] = 1e-20        # no swap would lose every digit
+    elif case == "near_singular":
+        a[..., -1, :] = a[..., 0, :] + 1e-9 * rng.normal(size=(3, 50, 6))
+    aug = np.concatenate([a, rng.normal(size=(3, 50, 6, 3))], -1)
+    _check_against_lapack(aug, 6)
+
+
+def test_gauss_solve_spans_chunks():
+    # more systems than one pass holds, and one system alone: a system's
+    # solution does not depend on the stack around it
+    rng = np.random.default_rng(7)
+    count = graphfp.metric._GAUSS_CHUNK + 5
+    aug = np.concatenate([rng.normal(size=(count, 5, 5)), rng.normal(size=(count, 5, 2))], -1)
+    _check_against_lapack(aug, 5)
+    x = _gauss_solve(aug)
+    for k in (0, count - 1):
+        np.testing.assert_array_equal(_gauss_solve(aug[k]), x[k])
+
+
+@pytest.mark.parametrize("n,ties,spread", [c for c in _cases([20, 200, 2000]) if c.values[1]])
+def test_capacitance_systems_against_lapack(monkeypatch, n, ties, spread):
+    # the Woodbury capacitance systems of the tie instances above
+    seen = []
+
+    def record(aug):
+        seen.append(aug.copy())
+        return _gauss_solve(aug)
+
+    monkeypatch.setattr(graphfp.metric, "_gauss_solve", record)
+    spec, rho = _instance(n, 7, ties, spread=spread)
+    sigma = g.project_tangent(np.random.default_rng(n + 1).normal(size=n), spec.weights).sigma
+    MobilityOperator(spec.phi, spec.m).solve(rho.rho, sigma)
+    assert len(seen) == 1
+    _check_against_lapack(seen[0], seen[0].shape[-2])
 
 
 @pytest.mark.parametrize("call", ["apply", "solve"])
