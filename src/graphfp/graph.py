@@ -286,7 +286,7 @@ def _warn_near_ties(phi: np.ndarray) -> None:
     if np.any(suspicious):
         k = int(np.argmax(suspicious))
         warnings.warn(
-            f"potential values {vals[k]!r} and {vals[k + 1]!r} differ by "
+            f"potential values {float(vals[k])!r} and {float(vals[k + 1])!r} differ by "
             f"{gaps[k]:.3e} (< {NEAR_TIE_GAP:g}) but are not equal; branch "
             "selection compares exactly",
             NearTieWarning,

@@ -3,9 +3,10 @@
 The tangent identification works through pairwise mobility coefficients:
 the upwind density on potential-ordered pairs and the logarithmic mean on
 potential ties. They define the mobility Laplacian L(rho), applied in
-potential-sorted order by prefix sums and, on ties, by group sums under a
-Gauss-Legendre rule for the log mean (:class:`MobilityOperator`); its
-inverse, by a recurrence over the sorted groups, gives the metric tensor.
+potential-sorted order by sums below and above each tie group and, on
+ties, by group sums under a Gauss-Legendre rule for the log mean
+(:class:`MobilityOperator`); its inverse, by a recurrence over the sorted
+groups, gives the metric tensor.
 Geodesic distances are estimated by minimizing a midpoint-rule path action
 by projected steepest descent in the metric: the m-gradient is
 preconditioned by the inverse discrete time Laplacian of the path, applied
@@ -82,21 +83,6 @@ def _rule_spreads():
     return c
 
 
-def _prefix(x):
-    """Sums over the positions before each index, along the last axis
-    (length n + 1: entry k sums positions < k)."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    np.add.accumulate(x, axis=-1, out=out[..., 1:])
-    return out
-
-
-def _suffix(x):
-    """Sums over the positions from each index on (length n + 1, last 0)."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    np.add.accumulate(x[..., ::-1], axis=-1, out=out[..., -2::-1])
-    return out
-
-
 # Systems per pass of _gauss_solve. Each step's temporaries then stay in
 # cache: 5e4 systems of order 8 took 210-220 ms in one pass, 110-125 ms in
 # passes of this size (np.linalg.solve: 90-135 ms), on one thread.
@@ -145,7 +131,10 @@ class MobilityOperator:
     logarithmic mean of the two densities on potential ties. With the
     vertices stably sorted by potential, the strictly lower vertices of i
     contribute rho_i sum m_j (p_i - p_j) and the strictly higher ones
-    sum m_j rho_j (p_i - p_j): prefix and suffix sums. On a tie,
+    sum m_j rho_j (p_i - p_j): sums over the sorted positions below and
+    above the tie group of i (:meth:`_below`, :meth:`_above`), each one
+    sequential accumulate and, when the potential has ties, a gather at
+    the group's first or last position. On a tie,
     log_mean(a, b) = int_0^1 a^t b^(1-t) dt, taken by the Gauss-Legendre
     rule (t_q, w_q) that the densities need (:func:`_rule_spreads`), so the
     tie term of i is sum_q w_q rho_i^t_q times a group sum of
@@ -183,17 +172,17 @@ class MobilityOperator:
         np.not_equal(self._key[1:], self._key[:-1], out=new[1:])
         self.has_ties = not new.all()
         self._one_group = n > 1 and not new[1:].any()   # a constant potential: no upwind pair
-        self._prefix_m = _prefix(self._ms)
-        self._group = np.cumsum(new) - 1              # tie group of each sorted position
+        self._upto_m = np.add.accumulate(self._ms)    # mass up to the end of the group
         if self.has_ties:
             self._starts = np.flatnonzero(new)
+            self._group = np.cumsum(new) - 1          # tie group of each sorted position
             self._group_m = np.add.reduceat(self._ms, self._starts)[self._group]
-            ends = np.append(self._starts[1:], n)
-            self._lo = self._starts[self._group]      # first position of the group
-            self._hi = ends[self._group]              # one past its last position
+            self._first = self._starts[self._group]   # first and last position of the group
+            self._last = np.append(self._starts[1:], n)[self._group] - 1
+            self._upto_m = self._upto_m[self._last]
             # the positions in groups of two or more, and where each group
             # starts among them
-            self._tied = np.flatnonzero(self._hi - self._lo > 1)
+            self._tied = np.flatnonzero(self._last > self._first)
             self._tie_first = new[self._tied]
             self._tie_starts = np.flatnonzero(self._tie_first)
             self._tie_group = np.cumsum(self._tie_first) - 1
@@ -206,10 +195,21 @@ class MobilityOperator:
             self._tie_batches = [
                 (slice(a, b), self._tie_starts[by_size[a:b], None] + np.arange(q))
                 for q, a, b in zip(size.tolist(), lo.tolist(), hi.tolist())]
-        else:
-            self._lo = slice(0, n)
-            self._hi = slice(1, n + 1)
-        self._low_m = self._prefix_m[self._lo]        # mass strictly below the group
+        self._low_m = self._below(self._ms)           # mass strictly below the group
+
+    def _below(self, x):
+        """Sums of x over the sorted positions strictly below the tie group
+        of each position, along the last axis: one sequential accumulate."""
+        out = np.zeros(x.shape)
+        np.add.accumulate(x[..., :-1], axis=-1, out=out[..., 1:])
+        return out[..., self._first] if self.has_ties else out
+
+    def _above(self, x):
+        """Sums of x over the sorted positions strictly above the tie group
+        of each position, along the last axis: one sequential accumulate."""
+        out = np.zeros(x.shape)
+        np.add.accumulate(x[..., :0:-1], axis=-1, out=out[..., -2::-1])
+        return out[..., self._last] if self.has_ties else out
 
     def _sort(self, x):
         """x in sorted order along the last axis; x.take(self._unorder, -1)
@@ -223,10 +223,10 @@ class MobilityOperator:
         m_j tau_ij (u_i - u_j), given rho and m rho in sorted order."""
         if self._one_group:
             return np.zeros(np.broadcast_shapes(rs.shape, us.shape))
-        us = us - us[..., 0, None]   # L annihilates constants; smaller prefix sums lose less
-        low = _prefix(self._ms * us)[..., self._lo]
-        high = _suffix(mr * us)[..., self._hi]
-        return rs * (us * self._low_m - low) + us * _suffix(mr)[..., self._hi] - high
+        us = us - us[..., 0, None]   # L annihilates constants; smaller cut sums lose less
+        low = self._below(self._ms * us)
+        high = self._above(mr * us)
+        return rs * (us * self._low_m - low) + us * self._above(mr) - high
 
     def _sums(self, x):
         """Sums of x over each tie group, along the last axis of tied positions."""
@@ -318,19 +318,18 @@ class MobilityOperator:
         No difference of near-equal sums is formed, so tiny weights keep
         full accuracy.
         """
-        ms, lo, hi = self._ms, self._lo, self._hi
+        ms, below, upto = self._ms, self._low_m, self._upto_m
         rs, ss = self._sort(rho), self._sort(sigma)
-        below, upto = self._low_m, self._prefix_m[hi]
         inv_below = np.divide(1.0, below, out=np.zeros(self.n), where=below > 0.0)
-        high = _suffix(ms * rs)[..., hi]                        # B
-        v = ss - _prefix(ms * ss)[..., lo] * inv_below          # sigma - lower mean
+        high = self._above(ms * rs)                             # B
+        v = ss - self._below(ms * ss) * inv_below               # sigma - lower mean
         w = rs * upto + high
         delta = ms * v / (upto * w)
         h = (below / upto) * v / w
         if self.has_ties:
             tie = self._by_rule(self._tie_block, rs, high, v)
             h[..., self._tied], delta[..., self._tied] = tie[..., 0, :], tie[..., 1, :]
-        p = h - _suffix(delta)[..., hi]
+        p = h - self._above(delta)
         p = p - _m_dot(ms, p)[..., None]
         return p.take(self._unorder, -1)
 
@@ -359,7 +358,7 @@ class MobilityOperator:
         """
         ts, g, mt = self._tie_starts, self._tie_group, self._ms[self._tied]
         first = self._tied[ts]
-        below, upto, b_up = self._low_m[first], self._prefix_m[self._hi[first]], high[:, ts]
+        below, upto, b_up = self._low_m[first], self._upto_m[first], high[:, ts]
         diag = r * below[g] + high + (w[:, None] * E * self._sums(mf)[..., g]).sum(-2)
         vbar = self._sums(mt * v) / self._sums(mt)
         # [left | y] = [E, 1 | v - vbar, 1, r] / diag, position-major
@@ -396,8 +395,8 @@ class MobilityOperator:
         ps = self._sort(p)
         ps = ps - ps[..., :1]
         mp = self._ms * ps
-        s1 = _prefix(mp)[..., self._lo]
-        s2 = _prefix(mp * ps)[..., self._lo]
+        s1 = self._below(mp)
+        s2 = self._below(mp * ps)
         return (ps * (ps * self._low_m - 2.0 * s1) + s2).take(self._unorder, -1)
 
     def tie_sq(self, rho, p):
@@ -594,9 +593,9 @@ def _path_gradient(path, op: MobilityOperator, P, mids):
 
     G[k, l] = -m_l sum_j m_j (d tau_lj / d rho_l) (P_kl - P_kj)^2, where the
     derivative is 1 for j below l, 0 above it, and the log-mean partial on
-    ties: prefix sums for the ordered pairs (:meth:`MobilityOperator.below_sq`),
-    group sums under the quadrature for the ties
-    (:meth:`MobilityOperator.tie_sq`).
+    ties: sums below each tie group for the ordered pairs
+    (:meth:`MobilityOperator.below_sq`), group sums under the quadrature for
+    the ties (:meth:`MobilityOperator.tie_sq`).
     """
     m = op.m
     K = path.shape[0] - 1

@@ -272,6 +272,10 @@ class TestGraphSpec:
             g.GraphSpec(weights=w, phi=np.array([0.0, 1e-13]), beta=1.0)
         # the warning names the line that built the spec
         assert [r.filename for r in record] == [__file__]
+        # and the two values as Python floats, not numpy reprs
+        message = str(record[0].message)
+        assert "values 0.0 and 1e-13 differ" in message
+        assert "np.float64" not in message
 
     def test_exact_ties_are_silent(self):
         import warnings

@@ -148,6 +148,73 @@ class TestApplyMobility:
         assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
 
 
+@st.composite
+def _cut_sum_case(draw):
+    """(key, m, x): a potential with all values distinct, on the levels
+    {0, 1, 2} or one group, positive weights, and a (rows, n) stack of
+    values in sorted order, for n in {1, 2} and larger."""
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 40)))
+    kind = draw(st.sampled_from(["distinct", "levels", "one group"]))
+    if kind == "distinct":
+        key = [float(k) for k in draw(st.permutations(range(n)))]
+    elif kind == "levels":
+        key = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n))
+    else:
+        key = [0.0] * n
+    m = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+    rows = draw(st.integers(1, 4))
+    x = draw(st.lists(st.floats(-1e30, 1e30), min_size=rows * n, max_size=rows * n))
+    return np.array(key), np.array(m), np.array(x).reshape(rows, n)
+
+
+class TestCutSums:
+    """``_below`` and ``_above`` against their definition: fsum over the
+    sorted positions in strictly lower, or strictly higher, tie groups.
+    A sequential sum of n terms errs by at most (n - 1) eps/2 sum |x| to
+    first order, so N eps sum |x| bounds every entry."""
+
+    @staticmethod
+    def _exact(op, x, side):
+        ks = op._key
+        out = np.empty(x.shape)
+        for i in range(op.n):
+            cut = ks < ks[i] if side == "below" else ks > ks[i]
+            out[:, i] = [math.fsum(row[cut]) for row in x]
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cut_sum_case())
+    def test_against_fsum(self, case):
+        key, m, x = case
+        op = MobilityOperator(key, m)
+        for side, sums in (("below", op._below), ("above", op._above)):
+            got = sums(x)
+            assert got.shape == x.shape
+            bound = op.n * np.finfo(float).eps * np.abs(x).sum(-1, keepdims=True)
+            assert (np.abs(got - self._exact(op, x, side)) <= bound).all(), side
+            for r, row in enumerate(x):
+                # a row of a stack sums alone as in the stack, bitwise
+                assert np.array_equal(sums(row), got[r]), side
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cut_sum_case())
+    def test_masses(self, case):
+        key, m, _ = case
+        op = MobilityOperator(key, m)
+        ms, ks = op._ms, op._key
+        bound = op.n * np.finfo(float).eps * ms.sum()
+        low = [math.fsum(ms[ks < k]) for k in ks]
+        upto = [math.fsum(ms[ks <= k]) for k in ks]
+        assert (np.abs(op._low_m - low) <= bound).all()
+        assert (np.abs(op._upto_m - upto) <= bound).all()
+        assert np.array_equal(op._low_m, op._below(ms))
+
+    def test_no_tie_bookkeeping_without_ties(self):
+        op = MobilityOperator(np.array([0.3, -1.0, 2.0]), np.full(3, 1 / 3))
+        assert not op.has_ties
+        assert not any(hasattr(op, name) for name in ("_group", "_first", "_last", "_starts"))
+
+
 class TestInvertMobility:
     def test_zero_maps_to_zero(self):
         w = explicit_weights(5, seed=1)
