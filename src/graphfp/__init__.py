@@ -22,8 +22,8 @@ _EXPORTS = {
                      "talagrand_constants", "verify_talagrand", "verify_w1_bound",
                      "w1_distance"),
     "metric": ("GeodesicResult", "apply_mobility", "geodesic_distance",
-               "invert_mobility", "kernel_dimension_check", "metric_inner",
-               "norm_equivalence_check"),
+               "kernel_dimension_check", "norm_equivalence_check"),
+    "mobility": ("invert_mobility", "metric_inner"),
     "simplex": ("ConstantsReport", "Density", "TangentVector", "free_energy", "gibbs",
                 "invariant_constants", "l2m_norm_sq", "project_tangent",
                 "relative_energy", "relative_entropy"),

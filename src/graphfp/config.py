@@ -296,6 +296,13 @@ class ExperimentConfig:
                           ("potential.high - potential.low", high - low)):
             if not math.isfinite(val):
                 raise ConfigError(f"{name} must be finite, got {val!r}")
+        # checked here, not at the draw: numpy's error names no key, and a
+        # seed no draw uses would be written out as given
+        for name, seed in (("seed", self.seed), ("potential.seed", self.potential.seed),
+                           ("initial.seed", self.initial.seed)):
+            if seed is not None and seed < 0:
+                raise ConfigError(f"config key {name!r} must be a non-negative integer, "
+                                  f"got {seed!r}")
 
     def resolved(self) -> dict:
         return asdict(self)

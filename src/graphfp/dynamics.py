@@ -25,7 +25,7 @@ from .config import KINDS, MAX_RECORDS, IntegratorConfig
 from .errors import InsufficientDataError, InvalidRowError, InvariantBreachError, \
     StiffnessError
 from .graph import GraphSpec
-from .metric import MobilityOperator, metric_inner
+from .mobility import MobilityOperator, metric_inner
 from .simplex import ConstantsReport, Density, TangentVector, _m_dot, free_energy, gibbs, \
     l2m_norm_sq, relative_energy
 

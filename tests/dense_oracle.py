@@ -3,13 +3,14 @@
 Every quantity is built from the full pairwise mobility matrix with
 explicit potential-order masks and the closed-form logarithmic mean on
 ties, one pair at a time, so it shares no summation order, log-mean rule
-or tie bookkeeping with :mod:`graphfp.metric`. The tests compare the
+or tie bookkeeping with :mod:`graphfp.mobility`. The tests compare the
 library against these formulas.
 """
 
 import numpy as np
 
-from graphfp.metric import KERNEL_RTOL, invert_mobility
+from graphfp.metric import KERNEL_RTOL
+from graphfp.mobility import invert_mobility
 
 # Relative spread below which the logarithmic mean switches to its series.
 _LOG_MEAN_SWITCH = 1e-8

@@ -131,12 +131,12 @@ class TestImportPath:
         assert run_python(code) == f"{expected} False ['graphfp.cli', 'graphfp.errors']"
 
     @pytest.mark.parametrize("command, unloaded", [
-        ("gibbs", {"dynamics", "metric", "inequalities"}),
+        ("gibbs", {"dynamics", "mobility", "metric", "inequalities"}),
         ("metric", {"dynamics", "inequalities"}),
         ("w1", {"dynamics"}),
         ("talagrand", {"dynamics"}),
-        ("simulate", {"inequalities"}),
-        ("sweep", {"inequalities"}),
+        ("simulate", {"metric", "inequalities"}),
+        ("sweep", {"metric", "inequalities"}),
     ])
     def test_command_loads_only_what_it_runs(self, tmp_path, command, unloaded):
         short = [*SMALL_SET, "--set", "integrator.t_end=0.5",
@@ -277,6 +277,17 @@ class TestOverrides:
     def test_infinite_values_are_config_errors(self, tmp_path, override):
         assert run(["gibbs", *SMALL_SET, "--set", override,
                     "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, key", [
+        (["--seed", "-1"], "'seed'"), (["--set", "seed=-1"], "'seed'"),
+        (["--set", "potential.seed=-1"], "'potential.seed'"),
+        (["--set", "initial.seed=-1"], "'initial.seed'")])
+    def test_negative_seed_is_named(self, tmp_path, capsys, args, key):
+        # a uniform start draws nothing, so the seed would be written out as given
+        assert run(["gibbs", "--config", "configs/master.yaml", "--set", "initial.kind=uniform",
+                    *args, "--out", tmp_path / "out"]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, key", [

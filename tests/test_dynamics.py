@@ -457,13 +457,13 @@ class TestMonitor:
         traj = g.integrate("fpe", rho0, spec,
                            g.IntegratorConfig(t_end=1.0, record_every=0.05))
         built = []
-        init = g.metric.MobilityOperator.__init__
+        init = g.mobility.MobilityOperator.__init__
 
         def counting_init(self, key, m):
             built.append(key)
             init(self, key, m)
 
-        monkeypatch.setattr(g.metric.MobilityOperator, "__init__", counting_init)
+        monkeypatch.setattr(g.mobility.MobilityOperator, "__init__", counting_init)
         check = dynamics._check_dissipation(traj)
         assert check.passed
         assert int(check.detail.split()[0]) > 2
@@ -475,12 +475,12 @@ class TestMonitor:
         traj = g.integrate("fpe", rho0, spec,
                            g.IntegratorConfig(t_end=1.0, record_every=0.05))
         assert monitor(traj, None).checks["dissipation_identity"].passed
-        flow = g.metric.MobilityOperator.flow
+        flow = g.mobility.MobilityOperator.flow
 
         def off_by_one_percent(self, rho, beta):
             return 1.01 * flow(self, rho, beta)
 
-        monkeypatch.setattr(g.metric.MobilityOperator, "flow", off_by_one_percent)
+        monkeypatch.setattr(g.mobility.MobilityOperator, "flow", off_by_one_percent)
         check = monitor(traj, None).checks["dissipation_identity"]
         assert not check.skipped
         assert check.passed is False

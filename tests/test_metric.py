@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import graphfp as g
-from graphfp import metric
+from graphfp import metric, mobility
 from scipy.optimize import minimize
 
-from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve, _time_laplacian_solve
+from graphfp.metric import _path_gradient, _segment_solve, _time_laplacian_solve
+from graphfp.mobility import MobilityOperator
 from graphfp.serialize import jsonify
 import dense_oracle
 from dense_oracle import log_mean
@@ -277,7 +278,7 @@ class TestInvertMobility:
             rel = math.sqrt(g.l2m_norm_sq(res, w) / g.l2m_norm_sq(sig.sigma, w))
             ratio = rho.sup / rho.inf
             assert rel <= ratio * 2.0 ** -52, k
-            if rel > metric.INVERT_RTOL:
+            if rel > mobility.INVERT_RTOL:
                 with pytest.raises(g.ConvergenceError,
                                    match=re.escape(f"sup rho / inf rho = {ratio:.3e}")):
                     g.invert_mobility(rho, op, sig)
@@ -296,7 +297,7 @@ class TestInvertMobility:
         rho = random_interior(9, w)
         phi = np.random.default_rng(9).uniform(-1, 1, 70)
         p = np.random.default_rng(10).normal(size=70)
-        op = metric.MobilityOperator(phi, w.m)
+        op = MobilityOperator(phi, w.m)
         np.testing.assert_allclose(op.apply(rho.rho, p),
                                    dense_oracle.matvec(rho.rho, phi, w.m, p), atol=1e-13)
 

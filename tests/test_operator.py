@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import graphfp as g
-import graphfp.metric
+import graphfp.mobility
 import dense_oracle
 from graphfp.cli import main
 from graphfp.dynamics import _rhs_closure
-from graphfp.metric import MobilityOperator, _gauss_solve, _path_gradient, _segment_solve
+from graphfp.metric import _path_gradient, _segment_solve
+from graphfp.mobility import MobilityOperator, _gauss_solve
 from graphfp.serialize import save_density
 from helpers import explicit_weights, run_python
 
@@ -192,7 +193,8 @@ def test_tie_path_loads_no_numpy_ma_or_polynomial():
     code = """
 import sys
 import numpy as np
-from graphfp.metric import MobilityOperator, _path_gradient, _segment_solve
+from graphfp.metric import _path_gradient, _segment_solve
+from graphfp.mobility import MobilityOperator
 rng = np.random.default_rng(3)
 m = np.full(200, 1 / 200)
 op = MobilityOperator(rng.integers(0, 40, 200).astype(float), m)
@@ -313,7 +315,7 @@ def test_gauss_solve_spans_chunks():
     # more systems than one pass holds, and one system alone: a system's
     # solution does not depend on the stack around it
     rng = np.random.default_rng(7)
-    count = graphfp.metric._GAUSS_CHUNK + 5
+    count = graphfp.mobility._GAUSS_CHUNK + 5
     aug = np.concatenate([rng.normal(size=(count, 5, 5)), rng.normal(size=(count, 5, 2))], -1)
     _check_against_lapack(aug, 5)
     x = _gauss_solve(aug)
@@ -330,7 +332,7 @@ def test_capacitance_systems_against_lapack(monkeypatch, n, ties, spread):
         seen.append(aug.copy())
         return _gauss_solve(aug)
 
-    monkeypatch.setattr(graphfp.metric, "_gauss_solve", record)
+    monkeypatch.setattr(graphfp.mobility, "_gauss_solve", record)
     spec, rho = _instance(n, 7, ties, spread=spread)
     sigma = g.project_tangent(np.random.default_rng(n + 1).normal(size=n), spec.weights).sigma
     MobilityOperator(spec.phi, spec.m).solve(rho.rho, sigma)
