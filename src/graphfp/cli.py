@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# exit 3, or an error row of a sweep
+NUMERICAL_FAILURES = (StiffnessError, ConvergenceError, InvariantBreachError)
+
 # Most samples one talagrand run may take: each is one geodesic and one
 # entry of the report.
 MAX_SAMPLES = 10 ** 4
@@ -43,7 +46,7 @@ MAX_SAMPLES = 10 ** 4
 # its place, before or after the load, is what the commands call.
 _NAMES = {
     "config": ("ConfigError", "ExperimentConfig", "_set_dotted"),
-    "dynamics": ("decay_rate_fit", "integrate", "is_gradient_flow", "monitor"),
+    "dynamics": ("decay_rate_fit", "integrate", "is_gradient_flow", "monitor", "record_times"),
     "inequalities": ("TalagrandClass", "sample_in_class", "talagrand_constants",
                      "verify_talagrand", "verify_w1_bound", "w1_distance"),
     "metric": ("geodesic_distance",),
@@ -128,7 +131,7 @@ def _parse(argv):
 def _run(args) -> int:
     try:
         return args.func(args, _load_config(args))
-    except (StiffnessError, ConvergenceError, InvariantBreachError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"graphfp: numerical failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, OSError) as exc:   # ConfigError and TruncationError among them
@@ -201,11 +204,11 @@ def _run_simulation(cfg):
         fitted = decay_rate_fit(traj)
     except InsufficientDataError:
         fitted = None
-    return spec, traj, constants, report, fitted
+    return traj, constants, report, fitted
 
 
 def cmd_simulate(args, cfg) -> int:
-    _, traj, constants, report, fitted = _run_simulation(cfg)
+    traj, constants, report, fitted = _run_simulation(cfg)
     meta = _meta(cfg)
     trajectory_to_csv(_out(cfg, "trajectory.csv"), traj, meta)
     if cfg.write_states:
@@ -303,24 +306,24 @@ def cmd_sweep(args, cfg) -> int:
     if not combos:
         raise ConfigError("sweep grid is empty")
 
-    # every grid point is built before any runs, so a config mistake exits 2
+    # every grid point is built and checked before any runs: a config mistake exits 2
     points = []
     for combo in combos:
         tree = {**cfg.resolved(), "sweep": {}}
         for key, val in zip(keys, combo):
             _set_dotted(tree, key, val)
         points.append(ExperimentConfig.load(values=tree))
+        record_times(points[-1].integrator, points[-1].graph.N)
 
     rows = []
     for idx, (combo, point) in enumerate(zip(combos, points)):
         row = {"index": idx, **dict(zip(keys, combo)),
                "fitted_rate": None, "theory_rate": None, "monitor_pass": False}
         try:
-            _, _, constants, report, fitted = _run_simulation(point)
+            _, constants, report, fitted = _run_simulation(point)
             row.update(fitted_rate=fitted, monitor_pass=report.all_passed, status="ok",
                        theory_rate=constants.decay_rate if constants is not None else None)
-        except (StiffnessError, ConvergenceError, InvariantBreachError,
-                InsufficientDataError, TruncationError) as exc:   # recorded, the run continues
+        except (*NUMERICAL_FAILURES, TruncationError) as exc:   # recorded, the run continues
             row["status"] = f"error: {exc}"
         rows.append(row)
 

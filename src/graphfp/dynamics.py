@@ -21,7 +21,7 @@ import numpy as np
 
 # The integrator's settings live in config, which loads no solver; importing
 # them here keeps them importable from this module.
-from .config import KINDS, MAX_RECORDS, IntegratorConfig
+from .config import KINDS, IntegratorConfig
 from .errors import InsufficientDataError, InvalidRowError, InvariantBreachError, \
     StiffnessError
 from .graph import GraphSpec
@@ -71,8 +71,7 @@ _DP_P = np.array([
 ])
 _THETA_POWERS = np.arange(1, 5)
 
-# Most recorded entries, records x N, one trajectory may hold: 160 MB of
-# float64 states, checked before the integration allocates any of them.
+# Most recorded entries, records x N, of one trajectory: 160 MB of float64.
 MAX_RECORD_ENTRIES = 2 * 10 ** 7
 # Most entries, rows x N, of one block of records that the record's
 # functionals and the monitor evaluate at once. At N >= 1024 a block is one
@@ -180,12 +179,18 @@ class TrajectoryRecord:
         return self.times.size
 
 
-def _record_grid(config: IntegratorConfig) -> np.ndarray:
-    n = int(math.floor(config.t_end / config.record_every + 1e-9))
-    times = np.arange(n + 1) * config.record_every
-    if times[-1] < config.t_end * (1.0 - 1e-12):
-        times = np.append(times, config.t_end)
-    return times
+def record_times(config: IntegratorConfig, n: int) -> np.ndarray:
+    """Times a run on n vertices records: every record_every, and t_end.
+    Counted first: ValueError if records x n > MAX_RECORD_ENTRIES."""
+    every = config.record_every
+    k = int(math.floor(config.t_end / every + 1e-9))
+    short = k * every < config.t_end * (1.0 - 1e-12)   # t_end is one more record
+    if (k + 1 + short) * n > MAX_RECORD_ENTRIES:
+        raise ValueError(
+            f"integrator.record_every={every!r} asks for {k + 1 + short} "
+            f"records x N={n}, more than {MAX_RECORD_ENTRIES} state entries")
+    times = np.arange(k + 1) * every
+    return np.append(times, config.t_end) if short else times
 
 
 def _rms(x) -> float:
@@ -227,11 +232,7 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
         return rhs(y)
 
     floor = config.positivity_floor
-    rec_times = _record_grid(config)
-    if rec_times.size * rho0.rho.size > MAX_RECORD_ENTRIES:
-        raise ValueError(
-            f"integrator.record_every={config.record_every!r} asks for {rec_times.size} "
-            f"records x N={rho0.rho.size}, more than {MAX_RECORD_ENTRIES} state entries")
+    rec_times = record_times(config, rho0.rho.size)
     t_final = float(rec_times[-1])
 
     y = rho0.rho.copy()

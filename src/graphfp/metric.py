@@ -172,18 +172,13 @@ def _segment_solve(path, op: MobilityOperator):
 def _path_gradient(path, op: MobilityOperator, P, mids):
     """Euclidean gradient of the discrete action at the interior knots.
 
-    G[k, l] = -m_l sum_j m_j (d tau_lj / d rho_l) (P_kl - P_kj)^2, where the
-    derivative is 1 for j below l, 0 above it, and the log-mean partial on
-    ties: sums below each tie group for the ordered pairs
-    (:meth:`MobilityOperator.below_sq`), group sums under the quadrature for
-    the ties (:meth:`MobilityOperator.tie_sq`).
+    G[k, l] = -m_l sum_j m_j (d tau_lj / d rho_l) (P_kl - P_kj)^2 is minus
+    the rho_l-derivative of <P_k, L(rho) P_k>_m at the midpoint of segment k
+    (:meth:`MobilityOperator.form_derivative`).
     """
     m = op.m
     K = path.shape[0] - 1
-    inner = op.below_sq(P)
-    if op.has_ties:
-        inner += op.tie_sq(mids, P)
-    G = -m * inner
+    G = -m * op.form_derivative(mids, P)
     return K * (2.0 * m[None, :] * (P[:-1] - P[1:]) + 0.5 * (G[:-1] + G[1:]))
 
 

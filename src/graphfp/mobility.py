@@ -379,26 +379,21 @@ class MobilityOperator:
         h = a + (vbar * below / upto)[:, g] * cc - (below * dg)[:, g] * b
         return np.array([h, dg[:, g] * self._tie_first]).swapaxes(0, 1)
 
-    def below_sq(self, p):
-        """sum over j strictly below i of m_j (p_i - p_j)^2, along the last axis."""
+    def form_derivative(self, rho, p):
+        """(1/m_i) d<p, L(rho) p>_m / d rho_i
+        = sum_j m_j (d tau_ij / d rho_i) (p_i - p_j)^2, along the last axis.
+        The partial is 1 for j below i, 0 above it and, on a tie,
+        int_0^1 t rho_i^(t-1) rho_j^(1-t) dt by the rule of the log mean."""
         ps = self._sort(p)
-        ps = ps - ps[..., :1]
-        mp = self._ms * ps
-        s1 = self._below(mp)
-        s2 = self._below(mp * ps)
-        return (ps * (ps * self._low_m - 2.0 * s1) + s2).take(self._unorder, -1)
-
-    def tie_sq(self, rho, p):
-        """sum over j in the tie group of i of
-        m_j (d log_mean(rho_i, rho_j) / d rho_i) (p_i - p_j)^2, along the
-        last axis, for an operator with ties. The partial is
-        int_0^1 t rho_i^(t-1) rho_j^(1-t) dt, by the rule of the mean."""
-        out = np.zeros(p.shape)
-        out[..., self._tied] = self._by_rule(self._tie_partial, self._sort(rho), self._sort(p))
+        d = ps - ps[..., :1]
+        md = self._ms * d
+        out = d * (d * self._low_m - 2.0 * self._below(md)) + self._below(md * d)
+        if self.has_ties:
+            out[..., self._tied] += self._by_rule(self._tie_partial, self._sort(rho), ps)
         return out.take(self._unorder, -1)
 
     def _tie_partial(self, w, t, E, mf, r, p):
-        """:meth:`tie_sq` on the tied positions, under one rule."""
+        """The tie part of :meth:`form_derivative`, under one rule."""
         g = self._tie_group
         d = (p - p[:, self._tie_starts][:, g])[:, None]
         a, b, c = (self._sums(mf * d ** k)[..., g] for k in range(3))

@@ -177,14 +177,19 @@ def segment_solve(path, phi, m):
     return float(K * (m * P * V).sum()), P, mids
 
 
+def form_derivative(rho, phi, m, p):
+    """sum_j m_j (d tau_ij / d rho_i) (p_i - p_j)^2, stacked over the
+    leading axes of rho and p, from the pairwise derivative."""
+    gt = phi[:, None] > phi[None, :]
+    lt = phi[:, None] < phi[None, :]
+    dlm = log_mean_partial(rho[..., :, None], rho[..., None, :])
+    dtau = np.where(gt, 1.0, np.where(lt, 0.0, dlm))
+    return (dtau * (p[..., :, None] - p[..., None, :]) ** 2) @ m
+
+
 def path_gradient(path, phi, m, P, mids):
     """Gradient of the action at the interior knots, from the pairwise
     derivative d tau_lj / d rho_l."""
     K = path.shape[0] - 1
-    gt = phi[:, None] > phi[None, :]
-    lt = phi[:, None] < phi[None, :]
-    dlm = log_mean_partial(mids[:, :, None], mids[:, None, :])
-    dtau = np.where(gt, 1.0, np.where(lt, 0.0, dlm))
-    dp2 = (P[:, :, None] - P[:, None, :]) ** 2
-    G = -m[None, :] * ((dtau * dp2) @ m)
+    G = -m[None, :] * form_derivative(mids, phi, m, P)
     return K * (2.0 * m[None, :] * (P[:-1] - P[1:]) + 0.5 * (G[:-1] + G[1:]))

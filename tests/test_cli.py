@@ -19,6 +19,7 @@ import graphfp as g
 from graphfp import cli
 from graphfp.cli import main
 from graphfp.config import ExperimentConfig
+from graphfp.errors import ConvergenceError, InvariantBreachError, StiffnessError
 from graphfp.serialize import _csv_header_comment, fmt, load_density, save_density, \
     snapshots_to_csv
 from helpers import explicit_weights, random_interior, run_python
@@ -529,6 +530,21 @@ class TestSimulateCommand:
         assert time.perf_counter() - start < 1.0
         assert "integrator.record_every" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error", [StiffnessError, ConvergenceError, InvariantBreachError])
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "integrate", fail)
+        assert run(["simulate", *SMALL_SET, "--out", tmp_path / "simulate"]) == 3
+        assert "graphfp: numerical failure: injected" in capsys.readouterr().err
+        assert not (tmp_path / "simulate").exists()
+        # a sweep records the failure in its row and goes on
+        assert run(["sweep", *SMALL_SET, "--set", "sweep={seed: [1, 2]}",
+                    "--out", tmp_path / "sweep"]) == 3
+        rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["rows"]
+        assert [r["status"] for r in rows] == ["error: injected"] * 2
 
     def test_denormal_beta_on_constant_potential_runs(self, tmp_path):
         # beta * min weight underflows to 0 while the potential's sup norm
@@ -1083,6 +1099,24 @@ class TestSweepCommand:
         ran = []
         monkeypatch.setattr(cli, "_run_simulation", ran.append)
         assert run(["sweep", "--config", cfg]) == 2
+        assert ran == []
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_point_exits_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # point 1 asks for 81 records x N=300000 state entries, above
+        # MAX_RECORD_ENTRIES: the grid is rejected before point 0 runs
+        ran = []
+
+        def record(*args, **kwargs):
+            ran.append(args)
+            raise StiffnessError("ran")
+
+        monkeypatch.setattr(cli, "integrate", record)
+        assert run(["sweep", "--config", "configs/decay.yaml",
+                    "--set", "sweep={graph.N: [40, 300000]}", "--set", "dynamics.kind=phibar",
+                    "--set", "graph.family=geometric:q=0.99999",
+                    "--out", tmp_path / "out"]) == 2
+        assert "integrator.record_every" in capsys.readouterr().err
         assert ran == []
         assert not (tmp_path / "out").exists()
 

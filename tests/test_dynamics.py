@@ -1,5 +1,6 @@
 """Right-hand sides, the adaptive integrator, monitors, and the decay fit."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 import graphfp as g
 from graphfp import dynamics
+from graphfp.config import MAX_RECORDS
 from graphfp.dynamics import monitor
 from graphfp.errors import InsufficientDataError, InvariantBreachError, StiffnessError
 from helpers import explicit_weights, half_weights, perturbed_gibbs, random_instance, \
@@ -236,7 +238,7 @@ class TestIntegrate:
         # rejected from t_end / record_every alone, before any grid exists
         with pytest.raises(ValueError, match="records"):
             g.IntegratorConfig(t_end=1.0, record_every=record_every)
-        g.IntegratorConfig(t_end=1.0, record_every=1.0 / dynamics.MAX_RECORDS)
+        g.IntegratorConfig(t_end=1.0, record_every=1.0 / MAX_RECORDS)
 
     def test_stiffness_error_when_floor_blocks_flow(self):
         # the flow must cross the (huge) positivity floor, so every step is
@@ -486,6 +488,29 @@ class TestMonitor:
         assert check.passed is False
         assert check.margin < 0.0
 
+    def test_invariant_set_never_entered_fails(self):
+        spec = random_instance(6, 12, beta=1.0)
+        rho0 = perturbed_gibbs(spec, 0.5, 7)
+        traj = g.integrate("fpe", rho0, spec,
+                           g.IntegratorConfig(t_end=1.0, record_every=0.1))
+        consts = g.invariant_constants(rho0, spec)
+        above = dataclasses.replace(consts, lower_bound=2.0 * float(traj.states.inf.max()))
+        check = monitor(traj, above).checks["invariant_set"]
+        assert (check.passed, check.skipped) == (False, False)
+        assert check.detail == "state never entered the invariant set"
+        assert monitor(traj, consts).checks["invariant_set"].passed
+
+    def test_phibar_skips_the_constant_checks(self):
+        spec = random_instance(8, 12, beta=1.0)
+        rho0 = perturbed_gibbs(spec, 0.4, 9)
+        traj = g.integrate("phibar", rho0, spec,
+                           g.IntegratorConfig(t_end=1.0, record_every=0.1))
+        rep = monitor(traj, g.invariant_constants(rho0, spec))
+        for name in ("invariant_set", "decay_bound", "l2m_convergence"):
+            check = rep.checks[name]
+            assert check.skipped and check.detail == \
+                "invariant-set constants stated for the potential-ordered flow"
+
     def test_master_includes_sup_norm_decay(self):
         spec = _spec(np.zeros(6), beta=1.5, seed=2)
         rho0 = random_interior(11, spec.weights)
@@ -513,7 +538,7 @@ class TestDecayRateFit:
         assert rate == pytest.approx(2.0, rel=0.02)
 
     def test_exact_exponential_on_the_record_grid(self):
-        times = dynamics._record_grid(g.IntegratorConfig(t_end=4.0, record_every=0.05))
+        times = dynamics.record_times(g.IntegratorConfig(t_end=4.0, record_every=0.05), 1)
         for c in (1e-5, 3.0, 1e5):
             rate = g.decay_rate_fit(_window(times, c * np.exp(-2.0 * times)))
             assert abs(rate - 2.0) <= 4 * np.spacing(2.0)

@@ -125,10 +125,10 @@ def test_rows_of_a_stack_get_their_own_rule():
     sigmas = rng.normal(size=(4, 30))
     sigmas -= (sigmas @ spec.m)[:, None]
     op = MobilityOperator(spec.phi, spec.m)
-    solved, sq = op.solve(rhos, sigmas), op.tie_sq(rhos, sigmas)
+    solved, sq = op.solve(rhos, sigmas), op.form_derivative(rhos, sigmas)
     for r, s, p, row in zip(rhos, sigmas, solved, sq):
         _close(p, op.solve(r, s), rel=1e-13)
-        _close(row, op.tie_sq(r, s), rel=1e-13)
+        _close(row, op.form_derivative(r, s), rel=1e-13)
         _close(op.apply(r, p), s)
 
 
@@ -263,9 +263,8 @@ def test_tie_solve_calls_no_lapack(monkeypatch, n, ties, spread):
     op = MobilityOperator(spec.phi, spec.m)
     sigma = g.project_tangent(np.random.default_rng(n + 1).normal(size=n), spec.weights).sigma
     _close(op.apply(rho.rho, op.solve(rho.rho, sigma)), sigma)
-    r, tie = rho.rho, spec.phi[:, None] == spec.phi[None, :]
-    partial = dense_oracle.log_mean_partial(r[:, None], r[None, :])
-    _close(op.tie_sq(r, sigma), (tie * partial * (sigma[:, None] - sigma[None, :]) ** 2) @ spec.m)
+    _close(op.form_derivative(rho.rho, sigma),
+           dense_oracle.form_derivative(rho.rho, spec.phi, spec.m, sigma))
 
 
 def test_tie_commands_call_no_lapack(monkeypatch, tmp_path):
