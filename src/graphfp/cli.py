@@ -46,7 +46,7 @@ MAX_SAMPLES = 10 ** 4
 # its place, before or after the load, is what the commands call.
 _NAMES = {
     "config": ("ConfigError", "ExperimentConfig", "_set_dotted"),
-    "dynamics": ("decay_rate_fit", "integrate", "is_gradient_flow", "monitor", "record_times"),
+    "dynamics": ("decay_rate_fit", "integrate", "is_gradient_flow", "monitor"),
     "inequalities": ("TalagrandClass", "sample_in_class", "talagrand_constants",
                      "verify_talagrand", "verify_w1_bound", "w1_distance"),
     "metric": ("geodesic_distance",),
@@ -193,12 +193,12 @@ def cmd_gibbs(args, cfg) -> int:
     return EXIT_OK
 
 
-def _run_simulation(cfg):
+def _run_simulation(cfg, keep_states=False):
     spec = cfg.build_spec()
     kind = cfg.dynamics.kind
     rho0 = cfg.build_initial(spec)
     constants = invariant_constants(rho0, spec) if is_gradient_flow(kind, spec.beta) else None
-    traj = integrate(kind, rho0, spec, cfg.integrator, sign=cfg.dynamics.sign)
+    traj = integrate(kind, rho0, spec, cfg.integrator, cfg.dynamics.sign, keep_states)
     report = monitor(traj, constants)
     try:
         fitted = decay_rate_fit(traj)
@@ -208,7 +208,7 @@ def _run_simulation(cfg):
 
 
 def cmd_simulate(args, cfg) -> int:
-    traj, constants, report, fitted = _run_simulation(cfg)
+    traj, constants, report, fitted = _run_simulation(cfg, cfg.write_states)
     meta = _meta(cfg)
     trajectory_to_csv(_out(cfg, "trajectory.csv"), traj, meta)
     if cfg.write_states:
@@ -306,21 +306,23 @@ def cmd_sweep(args, cfg) -> int:
     if not combos:
         raise ConfigError("sweep grid is empty")
 
-    # every grid point is built and checked before any runs: a config mistake exits 2
+    # every grid point and its weights and potential are built before any
+    # runs, so a config mistake exits 2; a point's spec is built again when
+    # it runs, so the sweep holds one at a time, and it keeps no states
     points = []
     for combo in combos:
         tree = {**cfg.resolved(), "sweep": {}}
         for key, val in zip(keys, combo):
             _set_dotted(tree, key, val)
         points.append(ExperimentConfig.load(values=tree))
-        record_times(points[-1].integrator, points[-1].graph.N)
+        points[-1].build_spec()
 
     rows = []
     for idx, (combo, point) in enumerate(zip(combos, points)):
         row = {"index": idx, **dict(zip(keys, combo)),
                "fitted_rate": None, "theory_rate": None, "monitor_pass": False}
         try:
-            _, constants, report, fitted = _run_simulation(point)
+            constants, report, fitted = _run_simulation(point)[1:]   # the run is not held
             row.update(fitted_rate=fitted, monitor_pass=report.all_passed, status="ok",
                        theory_rate=constants.decay_rate if constants is not None else None)
         except (*NUMERICAL_FAILURES, TruncationError) as exc:   # recorded, the run continues

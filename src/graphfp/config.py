@@ -70,8 +70,10 @@ class DynamicsConfig:
     sign: float = -1.0
 
 
-# Most record times one trajectory may ask for (t_end / record_every): every
-# recorded state is kept in memory and written out.
+# Most record times one trajectory may ask for (t_end / record_every): a run
+# keeps nine floats of columns per record and writes a row of
+# trajectory.csv for it. The states themselves, kept only under
+# write_states, are bounded by dynamics.MAX_RECORD_ENTRIES.
 MAX_RECORDS = 10 ** 6
 
 

@@ -14,6 +14,8 @@ checks every quantitative property a trajectory is expected to satisfy.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,54 +73,70 @@ _DP_P = np.array([
 ])
 _THETA_POWERS = np.arange(1, 5)
 
-# Most recorded entries, records x N, of one trajectory: 160 MB of float64.
+# Most entries, records x N, of the states one trajectory keeps
+# (integrate(..., keep_states=True)): 160 MB of float64.
 MAX_RECORD_ENTRIES = 2 * 10 ** 7
-# Most entries, rows x N, of one block of records that the record's
-# functionals and the monitor evaluate at once. At N >= 1024 a block is one
-# record, as a per-record loop would take them; below, a block of up to 1024
-# rows saves the loop's per-call overhead. A solve on tie groups peaks at
-# about nine arrays of rows x (Q + 1) x (tied vertices) entries per block,
-# so a bound much above this one lifts a small run's peak memory: with all
-# 121 records of configs/master.yaml in one block, by 0.26 MB (38.21 against
-# 37.95 MB, medians of 9 processes).
+# Most entries, rows x N, of one block of records whose dissipation
+# integrate reduces at once: one stacked flow, solve and residual. Above
+# N = 512 a block is one record, as a per-record loop would take them;
+# below, a block of up to 1024 entries saves the loop's per-call overhead.
+# A solve on tie groups peaks at about nine arrays of rows x (Q + 1) x
+# (tied vertices) entries per block, so a bound much above this one lifts a
+# small run's peak memory: with all 121 records of configs/master.yaml in
+# one block, by 0.26 MB (38.21 against 37.95 MB, medians of 9 processes).
 BLOCK_ENTRIES = 2 ** 10
+# Most entries, rows x N, of the records integrate holds at once outside
+# the kept states: one piece of a step's dense output (two records at
+# least), and one span of whole blocks whose other columns are reduced
+# together; 2^12 float64 entries are 32 KB. Their temporaries set a small
+# run's peak memory, their count its per-call overhead: at 2^16 one span
+# held all 81 records of the relax benchmark's N = 600 phibar run, which
+# peaked at 38.9 MB against 37.4 MB at 2^12; at 2^11 its N = 150 sweep
+# points ran up to 9% slower.
+SPAN_ENTRIES = 2 ** 12
 
 
-def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0):
-    """Array-level right-hand side for one instance.
-
-    The potential-ordered kinds are -L(rho) u with u = phi + beta log rho
-    (u = phi at beta = 0), through one sorted-order mobility operator built
-    here; phibar re-sorts by its adjusted potential on every evaluation.
-    The master equation is fpe on a constant potential: one tie group, where
-    -L(rho) u = beta (sum_j m_j rho_j - rho_i sum_j m_j). This is the one
-    place that checks a kind and the (beta, phi) it admits; it raises
-    ValueError on an unknown kind or an instance the kind does not admit.
+def _operator(kind: str, spec: GraphSpec) -> MobilityOperator | None:
+    """The sorted-order mobility operator of one instance of a
+    potential-ordered kind, None for phibar, which re-sorts by its adjusted
+    potential on every evaluation. This is the one place that checks a kind
+    and the (beta, phi) it admits; it raises ValueError on an unknown kind
+    or an instance the kind does not admit.
     """
-    m = spec.m
-    phi = spec.phi
-    beta = spec.beta
-
     if kind == "master":
         if spec.beta <= 0.0:
             raise ValueError("master equation requires beta > 0")
-        if float(np.ptp(phi)) != 0.0:
+        if float(np.ptp(spec.phi)) != 0.0:
             raise ValueError("master equation requires a constant potential")
     elif kind == "phibar":
-        if beta <= 0.0:
+        if spec.beta <= 0.0:
             raise ValueError("entropy-adjusted ordering requires beta > 0")
+        return None
+    if kind == "beta_zero" and spec.beta != 0.0:
+        raise ValueError("zero-diffusion system requires beta = 0")
+    if kind not in KINDS:
+        raise ValueError(f"unknown rhs kind {kind!r}; expected one of {KINDS}")
+    return MobilityOperator(spec.phi, spec.m)
 
+
+def _rhs_closure(kind: str, spec: GraphSpec, sign: float = -1.0, op=None):
+    """Array-level right-hand side for one instance.
+
+    The potential-ordered kinds are -L(rho) u with u = phi + beta log rho
+    (u = phi at beta = 0), through ``op``, the instance's operator from
+    :func:`_operator`, which is built here when not given; phibar re-sorts
+    by its adjusted potential on every evaluation. The master equation is
+    fpe on a constant potential: one tie group, where
+    -L(rho) u = beta (sum_j m_j rho_j - rho_i sum_j m_j).
+    """
+    m, phi, beta = spec.m, spec.phi, spec.beta
+    op = _operator(kind, spec) if op is None else op
+    if kind == "phibar":
         def rhs(y):
             ly = np.log(y)
             return -MobilityOperator(phi + sign * beta * ly, m).upwind(y, phi + beta * ly)
 
         return rhs
-
-    if kind == "beta_zero" and beta != 0.0:
-        raise ValueError("zero-diffusion system requires beta = 0")
-    if kind not in KINDS:
-        raise ValueError(f"unknown rhs kind {kind!r}; expected one of {KINDS}")
-    op = MobilityOperator(phi, m)
     return lambda y: op.flow(y, beta)
 
 
@@ -160,28 +178,43 @@ class IntegratorStats:
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded snapshots of one integrated trajectory, with the free and
-    relative energies at every recorded time. ``states`` is one stacked
-    :class:`Density`, row k the state at ``times[k]``, so its ``mass()``,
-    ``inf`` and ``sup`` are the other per-record columns."""
+    """One integrated trajectory as per-record columns, entry k at
+    ``times[k]``: the mass, the free energy F, the relative energy L to the
+    Gibbs state (nan at beta = 0) and inf and sup of rho. The monitor's
+    columns are nan where its kind has no such check: for gradient flows
+    ``l2m`` = ||rho - rho*||_m^2, the dissipation ``g`` = g(sigma, sigma)
+    and its ``slope`` <u, sigma>_m, with sigma = -L(rho) u; for master
+    ``linf`` = max_i |rho_i - 1|. ``states``, one stacked :class:`Density`
+    with row k the state at ``times[k]``, only when integrate kept them."""
 
     times: np.ndarray
-    states: Density
+    mass: np.ndarray
     F_values: np.ndarray
     L_values: np.ndarray
+    inf: np.ndarray
+    sup: np.ndarray
+    l2m: np.ndarray
+    g: np.ndarray
+    slope: np.ndarray
+    linf: np.ndarray
     spec: GraphSpec
     kind: str
     rho_star: Density | None = None
     sign: float = -1.0
     stats: IntegratorStats = field(default_factory=IntegratorStats)
+    states: Density | None = None
 
     def __len__(self):
         return self.times.size
 
 
+_COLUMNS = ("mass", "F_values", "L_values", "inf", "sup", "l2m", "g", "slope", "linf")
+
+
 def record_times(config: IntegratorConfig, n: int) -> np.ndarray:
-    """Times a run on n vertices records: every record_every, and t_end.
-    Counted first: ValueError if records x n > MAX_RECORD_ENTRIES."""
+    """Times a run records: every record_every, and t_end. Counted first:
+    ValueError if the run keeps n state entries per record and
+    records x n > MAX_RECORD_ENTRIES."""
     every = config.record_every
     k = int(math.floor(config.t_end / every + 1e-9))
     short = k * every < config.t_end * (1.0 - 1e-12)   # t_end is one more record
@@ -211,7 +244,7 @@ def _initial_step(y0, f0, config):
 
 
 def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfig,
-              sign: float = -1.0) -> TrajectoryRecord:
+              sign: float = -1.0, keep_states: bool = False) -> TrajectoryRecord:
     """Advance one trajectory with an adaptive embedded Runge-Kutta pair.
 
     Step sizes follow the error tolerances, bounded only by the last
@@ -219,12 +252,16 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
     pair's 4th-order dense output. A step is rejected and h halved
     whenever a stage state or an interpolated record falls below the
     positivity floor or is not finite; a failed error estimate shrinks h by
-    the usual controller. Every recorded state must carry unit mass within
-    1e-10 or the run aborts. The record's ``stats`` counts what was done.
+    the usual controller. The records of an accepted step are reduced to
+    the record's columns as they arrive (:class:`_Reduction`); every one
+    must carry unit mass within 1e-10 or the run aborts. The states are
+    kept, records x N of them at most MAX_RECORD_ENTRIES, only under
+    ``keep_states``. The record's ``stats`` counts what was done.
     """
     if spec.beta > 0.0:
         rho0.require_interior("integration with beta > 0")
-    rhs = _rhs_closure(kind, spec, sign)
+    op = _operator(kind, spec)
+    rhs = _rhs_closure(kind, spec, sign, op)
     stats = IntegratorStats()
 
     def f(y):
@@ -232,15 +269,15 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
         return rhs(y)
 
     floor = config.positivity_floor
-    rec_times = record_times(config, rho0.rho.size)
+    rec_times = record_times(config, rho0.rho.size if keep_states else 0)
     t_final = float(rec_times[-1])
+    reduction = _Reduction(kind, spec, op, rec_times, keep_states)
 
     y = rho0.rho.copy()
     t = 0.0
     k1 = f(y)
     h = _initial_step(y, k1, config)
-    states = np.empty((rec_times.size, y.size))
-    states[0] = y
+    reduction.add(y[None])
     nxt = 1  # index of the first record time not yet filled
     while t < t_final:
         last = t + h >= t_final * (1.0 - 1e-14)
@@ -249,60 +286,72 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
             raise StiffnessError(
                 f"step size underflow at t={t!r} (h={h_use!r})", t=t, state=y.copy()
             )
-        out = _dp54_step(f, y, h_use, k1, floor)
-        if isinstance(out, str):
-            stats.rejected[out] += 1
-            h = 0.5 * h_use
+        cause, y_new, K, err = _dp54_step(f, y, h_use, k1, floor)
+        if not cause:
+            with np.errstate(invalid="ignore", over="ignore"):
+                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+                en = _rms(err / scale)
+            cause = "nonfinite" if not math.isfinite(en) else "error" if en > 1.0 else ""
+        if not cause:
+            t_new = t_final if last else t + h_use
+            end = int(np.searchsorted(rec_times, t_new, side="right"))
+            # the records the step covers, in pieces, evaluated once to be
+            # checked and, if the step is taken, again to be reduced
+            dense = functools.partial(_dense_output, y, _DP_P.T @ K, h_use,
+                                      (rec_times[nxt:end] - t) / h_use, y_new if last else None)
+            cause = _leaves_cone(dense(), floor)
+        if cause:
+            stats.rejected[cause] += 1
+            h = h_use * max(0.2, min(0.9 * en ** -0.2, 0.7)) if cause == "error" else 0.5 * h_use
             continue
-        y_new, K, err = out
-        with np.errstate(invalid="ignore", over="ignore"):
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            en = _rms(err / scale)
-        if not math.isfinite(en):
-            stats.rejected["nonfinite"] += 1
-            h = 0.5 * h_use
-            continue
-        if en > 1.0:
-            stats.rejected["error"] += 1
-            h = h_use * max(0.2, min(0.9 * en ** -0.2, 0.7))
-            continue
-        t_new = t_final if last else t + h_use
-        end = int(np.searchsorted(rec_times, t_new, side="right"))
-        if end > nxt:
-            # written in place; rows a rejected step wrote are written again
-            # by the accepted step that covers them
-            theta = (rec_times[nxt:end] - t) / h_use
-            records = states[nxt:end]
-            np.add(y, h_use * ((theta[:, None] ** _THETA_POWERS) @ (_DP_P.T @ K)), out=records)
-            if last:
-                records[-1] = y_new
-            cause = _leaves_cone(records, floor)
-            if cause:
-                stats.rejected[cause] += 1
-                h = 0.5 * h_use
-                continue
+        for rows in dense():
+            reduction.add(rows)
         stats.accepted += 1
         stats.h_min = min(stats.h_min, h_use)
         stats.h_max = max(stats.h_max, h_use)
-        nxt = end
-        t, y, k1 = t_new, y_new, K[6]
-        factor = 5.0 if en == 0.0 else min(5.0, max(0.2, 0.9 * en ** -0.2))
-        h = h_use * factor
+        nxt, t, y, k1 = end, t_new, y_new, K[6]
+        h = h_use * (5.0 if en == 0.0 else min(5.0, max(0.2, 0.9 * en ** -0.2)))
 
-    return _build_record(kind, spec, rec_times, states, sign, stats)
+    reduction.reduce()   # the last span
+    states = reduction.states
+    return TrajectoryRecord(rec_times, **reduction.columns, spec=spec, kind=kind,
+                            rho_star=reduction.rho_star, sign=sign, stats=stats,
+                            states=None if states is None else Density(states, spec.weights,
+                                                                       mass_tol=1e-10))
 
 
-def _leaves_cone(states, floor):
-    """Why ``states`` may not be taken: "nonfinite", "positivity", or ""."""
-    if not np.isfinite(states).all():
-        return "nonfinite"
-    return "positivity" if states.min() < floor else ""
+def _dense_output(y, pk, h, theta, y_end):
+    """The states at the fractions ``theta`` of a step of size h from y, by
+    the pair's dense output with pk = P^T K, in pieces of about SPAN_ENTRIES
+    entries and two rows at least, since a (1, 4) @ (4, N) product rounds
+    otherwise than the same row of a larger one; ``y_end``, when given, is
+    the last state."""
+    size, piece = theta.size, max(2, SPAN_ENTRIES // y.size)
+    for lo in range(0, size - (size > 1), piece):   # the last piece takes a lone remainder
+        hi = lo + piece if lo + piece < size - 1 else size
+        rows = (theta[lo:hi, None] ** _THETA_POWERS) @ pk
+        rows *= h
+        rows += y
+        if y_end is not None and hi == size:
+            rows[-1] = y_end
+        yield rows
+
+
+def _leaves_cone(pieces, floor):
+    """Why the arrays ``pieces`` may not be taken: "nonfinite" if an entry
+    of one is not finite, else "positivity" if one is below the floor, else ""."""
+    cause = ""
+    for x in pieces:
+        if not np.isfinite(x).all():
+            return "nonfinite"
+        cause = cause or ("positivity" if x.min() < floor else "")
+    return cause
 
 
 def _dp54_step(f, y, h, k1, floor):
-    """One embedded step: (5th-order state, 7 x n stage matrix, error
-    estimate), or the cause of rejection when a stage state leaves the
-    positive cone."""
+    """One embedded step: ("", 5th-order state, 7 x n stage matrix, error
+    estimate), or the cause of rejection, when a stage state leaves the
+    positive cone, and three Nones."""
     k = np.empty((7, y.size))
     k[0] = k1
     ys = y
@@ -313,39 +362,76 @@ def _dp54_step(f, y, h, k1, floor):
             if a[j] != 0.0:
                 incr = incr + a[j] * k[j]
         ys = y + h * incr
-        cause = _leaves_cone(ys, floor)
+        cause = _leaves_cone([ys], floor)
         if cause:
-            return cause
+            return cause, None, None, None
         k[s] = f(ys)
     # Stage 7 input is the 5th-order solution itself.
     err = h * (_DP_E @ k)
-    return ys, k, err
+    return "", ys, k, err
 
 
-def _build_record(kind, spec, times, states, sign, stats):
-    """The record of a run from its (records, N) array of states, checked in
-    one call; a state off the unit-mass slice by more than 1e-10 raises
-    InvariantBreachError naming its time."""
-    try:
-        states = Density(states, spec.weights, mass_tol=1e-10)
-    except InvalidRowError as exc:
-        raise InvariantBreachError(
-            f"recorded state at t={float(times[exc.row])!r} invalid: {exc}") from exc
-    rho_star = gibbs(spec) if spec.beta > 0.0 else None
-    F = _by_block(states, lambda block: free_energy(block, spec))
-    L = (np.full(times.size, math.nan) if rho_star is None
-         else _by_block(states, lambda block: relative_energy(block, rho_star)))
-    return TrajectoryRecord(times, states, F, L, spec, kind, rho_star, sign, stats)
+class _Reduction:
+    """The columns of one run's :class:`TrajectoryRecord`, reduced from its
+    records as they arrive, in order: a span of records at a time, checked
+    once as one stacked Density, the dissipation per block of BLOCK_ENTRIES
+    entries within it, with ``op``, the operator of the run's right-hand
+    side. A block holds one record at least, and a row gives the same bits
+    alone as in any stack. A span holds up to SPAN_ENTRIES entries in whole
+    blocks; when the states are kept, it is a window of them, written in
+    place."""
 
+    def __init__(self, kind, spec, op, times, keep_states):
+        n = spec.m.size
+        self.kind, self.spec, self.op, self.times = kind, spec, op, times
+        self.rho_star = gibbs(spec) if spec.beta > 0.0 else None
+        self.block = max(1, BLOCK_ENTRIES // n)
+        rows = self.block * max(1, SPAN_ENTRIES // (self.block * n))
+        self.states = np.empty((times.size, n)) if keep_states else None
+        self.span = np.empty((rows, n)) if self.states is None else self.states[:rows]
+        self.lo = self.fill = 0   # the first record in the span, and the span's records
+        self.columns = {name: np.full(times.size, math.nan) for name in _COLUMNS}
 
-def _by_block(states: Density, f) -> np.ndarray:
-    """f on consecutive blocks of rows of the stacked ``states``, each of at
-    most BLOCK_ENTRIES entries (one row at least) and a view, not a copy;
-    its per-row values joined."""
-    rows, n = states.rho.shape
-    step = max(1, BLOCK_ENTRIES // n)
-    return np.concatenate([f(states.rows(slice(k, k + step))) for k in range(0, rows, step)]
-                          or [np.empty(0)])
+    def add(self, records):
+        """Take the next records; a full span is reduced before the next
+        record is written over it."""
+        while len(records):
+            if self.fill == len(self.span):
+                self.reduce()
+                self.lo, self.fill = self.lo + self.fill, 0
+                if self.states is not None:
+                    self.span = self.states[self.lo:self.lo + len(self.span)]
+            take = records[:len(self.span) - self.fill]
+            self.span[self.fill:self.fill + len(take)], records = take, records[len(take):]
+            self.fill += len(take)
+
+    def reduce(self):
+        """Fill the columns of the records in the span; a state off the
+        unit-mass slice by more than 1e-10 raises InvariantBreachError
+        naming its time."""
+        spec, c, lo, r = self.spec, self.columns, self.lo, self.span[:self.fill]
+        try:   # r is a view, which the Density makes read-only
+            rho = Density(r, spec.weights, mass_tol=1e-10)
+        except InvalidRowError as exc:
+            raise InvariantBreachError(
+                f"recorded state at t={float(self.times[lo + exc.row])!r} invalid: "
+                f"row {lo + exc.row}: {exc.reason}") from exc
+        at = slice(lo, lo + len(r))
+        c["mass"][at], c["inf"][at], c["sup"][at] = rho.mass(), rho.inf, rho.sup
+        c["F_values"][at] = free_energy(rho, spec)
+        if self.rho_star is not None:
+            c["L_values"][at] = relative_energy(rho, self.rho_star)
+        if self.kind == "master":
+            c["linf"][at] = np.abs(r - 1.0).max(-1)
+        if is_gradient_flow(self.kind, spec.beta):
+            c["l2m"][at] = l2m_norm_sq(r - self.rho_star.rho, spec.weights)
+            for k in range(0, len(r), self.block):
+                b = copy.copy(rho)   # rows of the checked span, not checked again
+                object.__setattr__(b, "rho", rho.rho[k:k + self.block])
+                at = slice(lo + k, lo + k + len(b.rho))
+                tv = TangentVector(self.op.flow(b.rho, spec.beta), spec.weights, mean_tol=1e-9)
+                c["slope"][at] = _m_dot(spec.m, (spec.phi + spec.beta * np.log(b.rho)) * tv.sigma)
+                c["g"][at] = metric_inner(b, self.op, tv, tv)
 
 
 # ---------------------------------------------------------------------------
@@ -395,51 +481,42 @@ def monitor(traj: TrajectoryRecord, constants: ConstantsReport | None = None) ->
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    checks: dict[str, CheckResult] = {}
     metric_kind = is_gradient_flow(traj.kind, traj.spec.beta)
-
-    dF = np.diff(traj.F_values)
-    worst = float(dF.max()) if dF.size else 0.0
-    checks["free_energy_decrease"] = CheckResult(worst <= F_DECREASE_TOL,
-                                                 F_DECREASE_TOL - worst)
-
-    if traj.rho_star is None:
-        checks["relative_energy_decrease"] = CheckResult(True, skipped=True,
-                                                         detail="no stationary reference")
-    else:
-        dL = np.diff(traj.L_values)
-        worst = float(dL.max()) if dL.size else 0.0
-        checks["relative_energy_decrease"] = CheckResult(worst <= L_DECREASE_TOL,
-                                                         L_DECREASE_TOL - worst)
+    checks = {"free_energy_decrease": _check_decrease(traj.F_values, F_DECREASE_TOL)}
+    checks["relative_energy_decrease"] = _skipped("no stationary reference") \
+        if traj.rho_star is None else _check_decrease(traj.L_values, L_DECREASE_TOL)
 
     if constants is None or not metric_kind:
         reason = "constants unavailable" if constants is None else \
             "invariant-set constants stated for the potential-ordered flow"
         for name in ("invariant_set", "decay_bound", "l2m_convergence"):
-            checks[name] = CheckResult(True, skipped=True, detail=reason)
+            checks[name] = _skipped(reason)
     else:
         checks["invariant_set"] = _check_invariant_set(traj, constants)
         checks["decay_bound"] = _check_decay_bound(traj, constants)
-        checks["l2m_convergence"] = _check_l2m_bound(traj, constants)
+        checks["l2m_convergence"] = _check_decay(traj.l2m, traj.rho_star.sup / traj.rho_star.inf,
+                                                 constants.decay_rate, traj.times, L2M_BOUND_TOL)
 
-    if traj.kind == "master":
-        checks["linf_master_decay"] = _check_linf_master(traj)
-    else:
-        checks["linf_master_decay"] = CheckResult(True, skipped=True,
-                                                  detail="master kind only")
-
-    if metric_kind:
-        checks["dissipation_identity"] = _check_dissipation(traj)
-    else:
-        detail = "metric identity checked for potential-ordered kinds with beta > 0"
-        checks["dissipation_identity"] = CheckResult(True, skipped=True, detail=detail)
+    checks["linf_master_decay"] = _skipped("master kind only") if traj.kind != "master" \
+        else _check_decay(traj.linf, 1.0, 0.5 * traj.spec.beta, traj.times, LINF_MASTER_TOL)
+    checks["dissipation_identity"] = _check_dissipation(traj) if metric_kind else _skipped(
+        "metric identity checked for potential-ordered kinds with beta > 0")
 
     return MonitorReport(checks)
 
 
+def _skipped(detail):
+    return CheckResult(True, skipped=True, detail=detail)
+
+
+def _check_decrease(values, tol):
+    worst = float(np.diff(values).max()) if values.size > 1 else 0.0
+    return CheckResult(worst <= tol, tol - worst)
+
+
 def _check_invariant_set(traj, constants):
     c1, c2 = constants.lower_bound, constants.upper_bound
-    inf, sup = traj.states.inf, traj.states.sup
+    inf, sup = traj.inf, traj.sup
     inside = (inf >= c1) & (sup <= c2)
     if not inside.any():
         return CheckResult(False, detail="state never entered the invariant set")
@@ -461,18 +538,9 @@ def _check_decay_bound(traj, constants):
     return CheckResult(margin >= 0.0, margin)
 
 
-def _check_l2m_bound(traj, constants):
-    star = traj.rho_star
-    lhs = _by_block(traj.states, lambda block: l2m_norm_sq(block.rho - star.rho, star.weights))
-    rhs = (star.sup / star.inf) * lhs[0] * np.exp(-constants.decay_rate * traj.times)
-    margin = float((rhs + L2M_BOUND_TOL - lhs).min())
-    return CheckResult(margin >= 0.0, margin)
-
-
-def _check_linf_master(traj):
-    lhs = _by_block(traj.states, lambda block: np.abs(block.rho - 1.0).max(-1))
-    rhs = lhs[0] * np.exp(-0.5 * traj.spec.beta * traj.times)
-    margin = float((rhs + LINF_MASTER_TOL - lhs).min())
+def _check_decay(lhs, scale, rate, times, tol):
+    """lhs(t) <= scale lhs(0) exp(-rate t) + tol at every recorded time."""
+    margin = float((scale * lhs[0] * np.exp(-rate * times) + tol - lhs).min())
     return CheckResult(margin >= 0.0, margin)
 
 
@@ -481,33 +549,20 @@ def _check_dissipation(traj):
     sigma = -L(rho) u, u = phi + beta log rho, of a gradient-flow run.
 
     By the chain rule dF/dt = sum_i m_i (phi_i + beta (log rho_i + 1)) sigma_i,
-    and the constant drops out because sigma is mean-free. One operator,
-    built once for the trajectory, gives sigma (:meth:`MobilityOperator.flow`,
-    the right-hand side the run integrated) and the metric that inverts
-    L(rho). Then L^-1 sigma = -(u - mean u), so the identity holds exactly
-    and the check is a round trip of the solve against the flow. It is
-    checked at every interior recorded time whose dissipation is above the
-    noise floor, one stacked flow, solve and residual per block of records.
+    and the constant drops out because sigma is mean-free. integrate
+    reduces each block of records to g and that slope with the operator of
+    its right-hand side: one stacked flow (:meth:`MobilityOperator.flow`,
+    the right-hand side the run integrated), solve and residual per block.
+    That solve inverts L(rho), so L^-1 sigma = -(u - mean u), the identity
+    holds exactly and the check is a round trip of the solve against the
+    flow. It is checked at every recorded time whose dissipation is above
+    the noise floor.
     """
-    spec = traj.spec
-    op = MobilityOperator(spec.phi, spec.m)
-
-    def metric_and_slope(block):
-        sig = op.flow(block.rho, spec.beta)
-        tv = TangentVector(sig, spec.weights, mean_tol=1e-9)
-        slope = _m_dot(spec.m, (spec.phi + spec.beta * np.log(block.rho)) * sig)
-        return np.stack([metric_inner(block, op, tv, tv), slope], -1)
-
-    # integrate records no state off the interior at beta > 0, so only a
-    # record built otherwise is copied here
-    interior = traj.states.interior
-    states = traj.states if interior.all() else traj.states.rows(interior)
-    g, slope = _by_block(states, metric_and_slope).reshape(-1, 2).T
-    above = g >= 1e-8 * (1.0 + np.abs(traj.F_values[interior]))
+    above = traj.g >= 1e-8 * (1.0 + np.abs(traj.F_values))
     if not above.any():
         return CheckResult(True, 0.0,
                            detail="no sampled time with dissipation above noise floor")
-    worst = float((np.abs(slope[above] + g[above]) / g[above]).max())
+    worst = float((np.abs(traj.slope[above] + traj.g[above]) / traj.g[above]).max())
     return CheckResult(worst <= DISSIPATION_REL_TOL, DISSIPATION_REL_TOL - worst,
                        detail=f"{int(above.sum())} sampled times")
 

@@ -8,11 +8,12 @@ class TruncationError(ValueError):
 class InvalidRowError(ValueError):
     """A density or tangent vector, or one row of a stack of them, fails its
     check; ``row`` is the row's flat index over the leading axes of the
-    stack, 0 for a single vector."""
+    stack, 0 for a single vector, and ``reason`` the message without the
+    row."""
 
-    def __init__(self, message, row):
+    def __init__(self, message, row, reason):
         super().__init__(message)
-        self.row = row
+        self.row, self.reason = row, reason
 
 
 class InsufficientDataError(ValueError):

@@ -131,11 +131,10 @@ def table_to_csv(path, columns, rows, meta: dict | None = None) -> None:
 
 
 def trajectory_to_csv(path, traj, meta: dict | None = None) -> None:
-    """Scalar time series of a trajectory: t, mass, F, L, inf_rho, sup_rho."""
-    states = traj.states
-    table_to_csv(path, ("t", "mass", "F", "L", "inf_rho", "sup_rho"),
-                 zip(traj.times, states.mass(), traj.F_values, traj.L_values, states.inf,
-                     states.sup), meta)
+    """Scalar time series of a trajectory, from its per-record columns: t,
+    mass, F, L, inf_rho, sup_rho."""
+    columns = (traj.times, traj.mass, traj.F_values, traj.L_values, traj.inf, traj.sup)
+    table_to_csv(path, ("t", "mass", "F", "L", "inf_rho", "sup_rho"), zip(*columns), meta)
 
 
 def _vertex_rows(n: int, lead: str = "") -> str:
@@ -146,7 +145,8 @@ def _vertex_rows(n: int, lead: str = "") -> str:
 
 def snapshots_to_csv(outdir, traj, meta: dict | None = None) -> list:
     """Per-vertex snapshot files state_<k>.csv with rows ``i, rho_i``, one
-    per row of the stacked ``traj.states``."""
+    per row of the stacked ``traj.states``, which a trajectory holds only
+    when integrate kept its states."""
     header = _csv_header_comment(meta) + "i,rho_i\n"
     states = traj.states.rho
     rows = _vertex_rows(states.shape[-1])

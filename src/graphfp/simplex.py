@@ -79,7 +79,7 @@ def _require(ok, message: str, value=None) -> None:
     k = int(np.argmin(ok))
     if value is not None:
         message = message.format(float(np.ravel(value)[k]))
-    raise InvalidRowError(message if np.ndim(ok) == 0 else f"row {k}: {message}", k)
+    raise InvalidRowError(message if np.ndim(ok) == 0 else f"row {k}: {message}", k, message)
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,6 @@ class Density:
         _require((total > 0.0) & (total < math.inf),
                  "cannot normalize: nonpositive or non-finite mass")
         return cls(v / total[..., None], weights)
-
-    def rows(self, index) -> "Density":
-        """The states at ``index`` on the leading axis of a stack, on the
-        same weights; rows of a checked stack are not checked again."""
-        r = self.rho[index]
-        r.setflags(write=False)
-        out = object.__new__(Density)
-        object.__setattr__(out, "rho", r)
-        object.__setattr__(out, "weights", self.weights)
-        return out
 
     @property
     def interior(self):

@@ -66,7 +66,7 @@ def fd_dissipation(traj, samples=20):
     f = _rhs_closure(traj.kind, spec, traj.sign)
     candidates = []
     for k in np.flatnonzero(traj.states.interior):
-        state = traj.states.rows(k)
+        state = g.Density(traj.states.rho[k], spec.weights, mass_tol=1e-10)
         tv = g.TangentVector(f(state.rho), spec.weights, mean_tol=1e-9)
         gk = g.metric_inner(state, spec.phi, tv, tv)
         if gk >= 1e-8 * (1.0 + abs(traj.F_values[k])):

@@ -110,7 +110,7 @@ def decay_runs():
         rho0 = g.Density.normalized(star.rho * np.exp(rng.uniform(-0.5, 0.5, spec.N)),
                                     spec.weights)
         constants = g.invariant_constants(rho0, spec)
-        traj = g.integrate("fpe", rho0, spec, cfg)
+        traj = g.integrate("fpe", rho0, spec, cfg, keep_states=True)
         report = monitor(traj, constants)
         runs.append((spec, traj, constants, report))
     return runs, time.perf_counter() - t0
@@ -125,11 +125,11 @@ def side_runs():
                        phi=np.random.default_rng(1).uniform(-2, 2, 10), beta=1.0)
     star = g.gibbs(spec)
     runs.append(g.integrate("fpe", star, spec,
-                            g.IntegratorConfig(t_end=10.0, record_every=0.5)))
+                            g.IntegratorConfig(t_end=10.0, record_every=0.5), keep_states=True))
     spec0 = g.GraphSpec(weights=explicit_weights(8, seed=2),
                         phi=np.random.default_rng(2).uniform(-2, 2, 8), beta=0.0)
     runs.append(g.integrate("beta_zero", random_interior(2, spec0.weights), spec0,
-                            g.IntegratorConfig(t_end=3.0, record_every=0.1)))
+                            g.IntegratorConfig(t_end=3.0, record_every=0.1), keep_states=True))
     for i in range(10):
         n = (3, 7, 25)[i % 3]
         beta = (0.5, 1.0, 2.0)[i % 3]
@@ -137,7 +137,8 @@ def side_runs():
                              phi=np.zeros(n), beta=beta)
         rho0 = random_interior(60 + i, spec_m.weights)
         runs.append(g.integrate("master", rho0, spec_m,
-                                g.IntegratorConfig(t_end=3.0, record_every=0.1)))
+                                g.IntegratorConfig(t_end=3.0, record_every=0.1),
+                                keep_states=True))
     return runs
 
 
@@ -219,7 +220,7 @@ def test_07_master_equation(side_runs):
     spec = g.GraphSpec(weights=half_weights(), phi=np.zeros(2), beta=1.0)
     rho0 = g.Density(np.array([1.5, 0.5]), spec.weights)
     traj = g.integrate("master", rho0, spec,
-                       g.IntegratorConfig(t_end=2.0, record_every=0.25))
+                       g.IntegratorConfig(t_end=2.0, record_every=0.25), keep_states=True)
     worst = 0.0
     for t_probe in (0.5, 1.0, 2.0):
         k = int(np.argmin(np.abs(traj.times - t_probe)))

@@ -1,6 +1,7 @@
 """End-to-end command line runs, file formats, and reproducibility."""
 
 import csv
+import gc
 import importlib.util
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import tempfile
 import time
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -522,11 +524,12 @@ class TestSimulateCommand:
         assert not (tmp_path / "out").exists()
 
     def test_huge_record_block_is_config_error(self, tmp_path, capsys):
-        # 400001 records x N=20000 float64 states would take 64 GB
+        # 400001 records x N=20000 float64 states would take 64 GB to keep
         start = time.perf_counter()
         assert run(["simulate", "--config", "configs/decay.yaml",
                     "--set", "graph.family=geometric:q=0.999", "--set", "graph.N=20000",
-                    "--set", "integrator.record_every=1e-5", "--out", tmp_path / "out"]) == 2
+                    "--set", "integrator.record_every=1e-5", "--set", "write_states=true",
+                    "--out", tmp_path / "out"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "integrator.record_every" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -1103,8 +1106,8 @@ class TestSweepCommand:
         assert not (tmp_path / "out").exists()
 
     def test_oversized_point_exits_before_any_run(self, tmp_path, monkeypatch, capsys):
-        # point 1 asks for 81 records x N=300000 state entries, above
-        # MAX_RECORD_ENTRIES: the grid is rejected before point 0 runs
+        # the weights of point 1 underflow at N=5000: the grid is rejected
+        # before point 0 runs
         ran = []
 
         def record(*args, **kwargs):
@@ -1113,12 +1116,35 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli, "integrate", record)
         assert run(["sweep", "--config", "configs/decay.yaml",
-                    "--set", "sweep={graph.N: [40, 300000]}", "--set", "dynamics.kind=phibar",
-                    "--set", "graph.family=geometric:q=0.99999",
-                    "--out", tmp_path / "out"]) == 2
-        assert "integrator.record_every" in capsys.readouterr().err
+                    "--set", "sweep={graph.N: [40, 5000]}", "--out", tmp_path / "out"]) == 2
+        assert "weights underflow" in capsys.readouterr().err
         assert ran == []
         assert not (tmp_path / "out").exists()
+
+    def test_holds_one_spec_at_a_time(self, tmp_path, monkeypatch):
+        # every point's spec is built while the grid is checked, then again
+        # when the point runs: only the running point's spec is alive
+        cfg = write_config(tmp_path, BASE.format(
+            n=10, pot="random", beta=1.0, eps=0.5, t_end=0.5, rec=0.1,
+            out=tmp_path / "out", seed=6) + "\nsweep: {beta: [0.5, 1.0, 2.0]}\n")
+        specs, alive = [], []
+        build = ExperimentConfig.build_spec
+
+        def tracked(self):
+            spec = build(self)
+            specs.append(weakref.ref(spec))
+            return spec
+
+        def counted(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in specs))
+            return g.dynamics.integrate(*args, **kwargs)
+
+        monkeypatch.setattr(ExperimentConfig, "build_spec", tracked)
+        monkeypatch.setattr(cli, "integrate", counted)
+        assert run(["sweep", "--config", cfg]) == 0
+        assert len(specs) == 6
+        assert alive == [1, 1, 1]
 
     def test_beta_grid(self, tmp_path):
         cfg = write_config(tmp_path, BASE.format(

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -14,6 +16,7 @@ from graphfp import dynamics
 from graphfp.config import MAX_RECORDS
 from graphfp.dynamics import monitor
 from graphfp.errors import InsufficientDataError, InvariantBreachError, StiffnessError
+from graphfp.simplex import _m_dot
 from helpers import explicit_weights, half_weights, perturbed_gibbs, random_instance, \
     random_interior
 
@@ -187,7 +190,7 @@ class TestIntegrate:
         spec = random_instance(1, 10, beta=1.0)
         star = g.gibbs(spec)
         traj = g.integrate("fpe", star, spec,
-                           g.IntegratorConfig(t_end=10.0, record_every=0.5))
+                           g.IntegratorConfig(t_end=10.0, record_every=0.5), keep_states=True)
         drift = np.abs(traj.states.rho - star.rho).max()
         assert drift <= 1e-9
 
@@ -196,7 +199,7 @@ class TestIntegrate:
         spec = g.GraphSpec(weights=half_weights(), phi=np.zeros(2), beta=1.0)
         rho0 = g.Density(np.array([1.5, 0.5]), spec.weights)
         traj = g.integrate("master", rho0, spec,
-                           g.IntegratorConfig(t_end=2.0, record_every=0.25))
+                           g.IntegratorConfig(t_end=2.0, record_every=0.25), keep_states=True)
         k = int(np.argmin(np.abs(traj.times - 1.0)))
         expect = np.array([1 + 0.5 * math.exp(-1.0), 1 - 0.5 * math.exp(-1.0)])
         np.testing.assert_allclose(traj.states.rho[k], expect, atol=1e-6)
@@ -205,7 +208,7 @@ class TestIntegrate:
         spec = random_instance(2, 25, beta=0.5)
         rho0 = perturbed_gibbs(spec, 0.5, 3)
         traj = g.integrate("fpe", rho0, spec,
-                           g.IntegratorConfig(t_end=4.0, record_every=0.05))
+                           g.IntegratorConfig(t_end=4.0, record_every=0.05), keep_states=True)
         assert np.abs(traj.states.mass() - 1.0).max() <= 1e-10
 
     def test_record_grid_hits_t_end(self):
@@ -293,7 +296,7 @@ class TestIntegrate:
         cfg = g.IntegratorConfig(t_end=1.0, record_every=0.5, abs_tol=1e308, rel_tol=1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = g.integrate("fpe", rho0, spec, cfg)
+            traj = g.integrate("fpe", rho0, spec, cfg, keep_states=True)
         assert np.isfinite(traj.states.rho).all()
 
     def test_rms_is_the_plain_formula_without_overflow(self):
@@ -327,8 +330,8 @@ class TestDenseOutput:
         cfg = g.IntegratorConfig(t_end=4.0, record_every=record_every)
         ref_cfg = g.IntegratorConfig(t_end=4.0, record_every=record_every,
                                      rel_tol=1e-13, abs_tol=1e-15)
-        traj = g.integrate(kind, rho0, spec, cfg)
-        ref = g.integrate(kind, rho0, spec, ref_cfg)
+        traj = g.integrate(kind, rho0, spec, cfg, keep_states=True)
+        ref = g.integrate(kind, rho0, spec, ref_cfg, keep_states=True)
         if record_every < 0.05:
             assert traj.stats.accepted < len(traj) / 2   # one step covers several records
         else:
@@ -350,9 +353,11 @@ class TestDenseOutput:
         clean = g.integrate("fpe", rho0, spec, cfg)
         assert clean.stats.rejected["positivity"] == 0
         monkeypatch.setattr(dynamics, "_DP_P", 1e3 * dynamics._DP_P)
-        traj = g.integrate("fpe", rho0, spec, cfg)
+        traj = g.integrate("fpe", rho0, spec, cfg, keep_states=True)
         assert traj.stats.rejected["positivity"] > 0
         assert traj.states.inf.min() >= cfg.positivity_floor
+        # a rejected step's records were never reduced
+        np.testing.assert_array_equal(traj.inf, traj.states.inf)
 
     def test_rhs_count_on_the_decay_run(self):
         # 494 evaluations when every record time ended a step, 133 now
@@ -408,9 +413,8 @@ class TestMonitor:
         assert not rep.checks["relative_energy_decrease"].skipped
 
     def test_dissipation_inverts_once_per_block(self, monkeypatch):
+        # the dissipation is reduced during the run, one inversion per block
         spec = random_instance(6, 12, beta=1.0)
-        traj = g.integrate("fpe", perturbed_gibbs(spec, 0.5, 7), spec,
-                           g.IntegratorConfig(t_end=1.0, record_every=0.05))
         rows = []
         real = dynamics.metric_inner
 
@@ -418,33 +422,66 @@ class TestMonitor:
             rows.append(len(rho.rho))
             return real(rho, *args)
 
+        def run():
+            traj = g.integrate("fpe", perturbed_gibbs(spec, 0.5, 7), spec,
+                               g.IntegratorConfig(t_end=1.0, record_every=0.05))
+            return traj, monitor(traj, None).checks["dissipation_identity"]
+
         monkeypatch.setattr(dynamics, "metric_inner", counted)
-        whole = monitor(traj, None).checks["dissipation_identity"]
+        traj, whole = run()
         assert rows == [len(traj)]           # 21 records x N=12 fit in one block
         rows.clear()
         monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 5 * 12)
-        blocked = monitor(traj, None).checks["dissipation_identity"]
+        _, blocked = run()
         assert rows == [5, 5, 5, 5, 1]
         assert (blocked.margin, blocked.detail) == (whole.margin, whole.detail)
 
     def test_record_off_the_mass_slice_names_its_time(self, monkeypatch):
         # a right-hand side that leaks mass: the record at t=0.05 is the
         # first off the unit-mass slice by more than 1e-10
-        monkeypatch.setattr(dynamics, "_rhs_closure", lambda kind, spec, sign: lambda y: -1e-6 * y)
+        monkeypatch.setattr(dynamics, "_rhs_closure",
+                            lambda kind, spec, sign, op: lambda y: -1e-6 * y)
         spec = random_instance(2, 10, beta=1.0)
         with pytest.raises(InvariantBreachError,
                            match="^recorded state at t=0.05 invalid: row 1: density mass"):
             g.integrate("fpe", g.gibbs(spec), spec,
                         g.IntegratorConfig(t_end=1.0, record_every=0.05))
 
+    def test_wrapped_right_hand_side_keeps_the_dissipation(self, monkeypatch):
+        # a wrapper around the closure, as a call counter installs, changes
+        # nothing: the run's operator reaches the reduction from integrate
+        spec = random_instance(6, 12, beta=1.0)
+        config = g.IntegratorConfig(t_end=1.0, record_every=0.05)
+        plain = g.integrate("fpe", perturbed_gibbs(spec, 0.5, 7), spec, config)
+        real = dynamics._rhs_closure
+        monkeypatch.setattr(dynamics, "_rhs_closure",
+                            lambda *args: (lambda f: lambda y: f(y))(real(*args)))
+        wrapped = g.integrate("fpe", perturbed_gibbs(spec, 0.5, 7), spec, config)
+        np.testing.assert_array_equal(wrapped.g, plain.g)
+        np.testing.assert_array_equal(wrapped.slope, plain.slope)
+
+    def test_breach_in_a_later_span_names_its_run_row(self, monkeypatch):
+        # spans of one record: record 1 is row 0 of the second span, and the
+        # error names it by its row in the run
+        monkeypatch.setattr(dynamics, "_rhs_closure",
+                            lambda kind, spec, sign, op: lambda y: -1e-6 * y)
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 10)
+        monkeypatch.setattr(dynamics, "SPAN_ENTRIES", 10)
+        spec = random_instance(2, 10, beta=1.0)
+        with pytest.raises(InvariantBreachError) as exc:
+            g.integrate("fpe", g.gibbs(spec), spec,
+                        g.IntegratorConfig(t_end=1.0, record_every=0.05))
+        assert re.fullmatch(r"recorded state at t=0\.05 invalid: row 1: density mass "
+                            r"0\.99999\d+ deviates from 1 beyond 1e-10", str(exc.value))
+
     def test_dissipation_counts_completed_samples(self):
         spec = random_instance(6, 12, beta=1.0)
         rho0 = perturbed_gibbs(spec, 0.5, 7)
         traj = g.integrate("fpe", rho0, spec,
-                           g.IntegratorConfig(t_end=1.0, record_every=0.05))
+                           g.IntegratorConfig(t_end=1.0, record_every=0.05), keep_states=True)
         above = 0
         for k, F in enumerate(traj.F_values):
-            state = traj.states.rows(k)
+            state = g.Density(traj.states.rho[k], spec.weights, mass_tol=1e-10)
             sig = g.fokker_planck_rhs(state, spec)
             if g.metric_inner(state, spec.phi, sig, sig) >= 1e-8 * (1.0 + abs(F)):
                 above += 1
@@ -456,8 +493,6 @@ class TestMonitor:
     def test_dissipation_sorts_the_potential_once(self, monkeypatch):
         spec = random_instance(6, 12, beta=1.0)
         rho0 = perturbed_gibbs(spec, 0.5, 7)
-        traj = g.integrate("fpe", rho0, spec,
-                           g.IntegratorConfig(t_end=1.0, record_every=0.05))
         built = []
         init = g.mobility.MobilityOperator.__init__
 
@@ -466,24 +501,32 @@ class TestMonitor:
             init(self, key, m)
 
         monkeypatch.setattr(g.mobility.MobilityOperator, "__init__", counting_init)
+        traj = g.integrate("fpe", rho0, spec,
+                           g.IntegratorConfig(t_end=1.0, record_every=0.05))
         check = dynamics._check_dissipation(traj)
         assert check.passed
         assert int(check.detail.split()[0]) > 2
         assert len(built) == 1   # one operator gives the right-hand side and the metric
 
     def test_dissipation_check_can_fail(self, monkeypatch):
+        # the run integrates the scaled flow too, which scales g by 1.0201
+        # and the slope by 1.01
         spec = random_instance(6, 12, beta=1.0)
         rho0 = perturbed_gibbs(spec, 0.5, 7)
-        traj = g.integrate("fpe", rho0, spec,
-                           g.IntegratorConfig(t_end=1.0, record_every=0.05))
-        assert monitor(traj, None).checks["dissipation_identity"].passed
+
+        def run():
+            traj = g.integrate("fpe", rho0, spec,
+                               g.IntegratorConfig(t_end=1.0, record_every=0.05))
+            return monitor(traj, None).checks["dissipation_identity"]
+
+        assert run().passed
         flow = g.mobility.MobilityOperator.flow
 
         def off_by_one_percent(self, rho, beta):
             return 1.01 * flow(self, rho, beta)
 
         monkeypatch.setattr(g.mobility.MobilityOperator, "flow", off_by_one_percent)
-        check = monitor(traj, None).checks["dissipation_identity"]
+        check = run()
         assert not check.skipped
         assert check.passed is False
         assert check.margin < 0.0
@@ -492,7 +535,7 @@ class TestMonitor:
         spec = random_instance(6, 12, beta=1.0)
         rho0 = perturbed_gibbs(spec, 0.5, 7)
         traj = g.integrate("fpe", rho0, spec,
-                           g.IntegratorConfig(t_end=1.0, record_every=0.1))
+                           g.IntegratorConfig(t_end=1.0, record_every=0.1), keep_states=True)
         consts = g.invariant_constants(rho0, spec)
         above = dataclasses.replace(consts, lower_bound=2.0 * float(traj.states.inf.max()))
         check = monitor(traj, above).checks["invariant_set"]
@@ -520,6 +563,103 @@ class TestMonitor:
         rep = monitor(traj, consts)
         assert rep.all_passed
         assert not rep.checks["linf_master_decay"].skipped
+
+
+def _column_instance(kind, n):
+    """An instance of ``kind`` on n vertices and a start: fpe on a potential
+    of three levels {0, 1, 2}, phibar on a random one, master on a constant
+    one, beta_zero at beta = 0."""
+    rng = np.random.default_rng(n)
+    phi = {"fpe": rng.integers(0, 3, n).astype(float), "phibar": rng.uniform(-1.0, 1.0, n),
+           "master": np.zeros(n), "beta_zero": rng.uniform(-1.0, 1.0, n)}[kind]
+    spec = _spec(phi, beta=0.0 if kind == "beta_zero" else 1.0, seed=n)
+    return spec, random_interior(n, spec.weights)
+
+
+class TestColumns:
+    """A run keeps per-record columns, reduced as the records arrive."""
+
+    @pytest.mark.parametrize("kind", ["fpe", "phibar", "master", "beta_zero"])
+    @pytest.mark.parametrize("n", [40, 1100], ids=["25-records-a-block", "one-record-a-block"])
+    @pytest.mark.parametrize("span_blocks", [None, 2], ids=["spans", "two-block-spans"])
+    def test_columns_are_their_functionals_bitwise(self, monkeypatch, kind, n, span_blocks):
+        # two-block spans at N=1100 also split each step's dense output into
+        # pieces of two records
+        if span_blocks:
+            monkeypatch.setattr(dynamics, "SPAN_ENTRIES", span_blocks * dynamics.BLOCK_ENTRIES)
+        spec, rho0 = _column_instance(kind, n)
+        cfg = g.IntegratorConfig(t_end=1.0, record_every=0.02)
+        bare = g.integrate(kind, rho0, spec, cfg)
+        kept = g.integrate(kind, rho0, spec, cfg, keep_states=True)
+        assert bare.states is None and kept.states.rho.shape == (51, n)
+        star = kept.rho_star
+        rhs = dynamics._rhs_closure(kind, spec)
+        want = {name: np.full(len(kept), np.nan) for name in dynamics._COLUMNS}
+        for k, row in enumerate(kept.states.rho):
+            rho = g.Density(row, spec.weights, mass_tol=1e-10)
+            want["mass"][k], want["inf"][k], want["sup"][k] = rho.mass(), rho.inf, rho.sup
+            want["F_values"][k] = g.free_energy(rho, spec)
+            if star is not None:
+                want["L_values"][k] = g.relative_energy(rho, star)
+            if kind == "master":
+                want["linf"][k] = np.abs(row - 1.0).max()
+            if dynamics.is_gradient_flow(kind, spec.beta):
+                want["l2m"][k] = g.l2m_norm_sq(row - star.rho, spec.weights)
+                sig = g.TangentVector(rhs(row), spec.weights, mean_tol=1e-9)
+                want["g"][k] = g.metric_inner(rho, spec.phi, sig, sig)
+                u = spec.phi + spec.beta * np.log(row)
+                want["slope"][k] = _m_dot(spec.m, u * sig.sigma)
+        for name in dynamics._COLUMNS:
+            np.testing.assert_array_equal(getattr(bare, name), want[name], err_msg=name)
+            np.testing.assert_array_equal(getattr(kept, name), want[name], err_msg=name)
+
+    @pytest.mark.parametrize("kind", ["fpe", "master"])
+    def test_pieces_of_the_dense_output_keep_the_records(self, monkeypatch, kind):
+        # a (1, 4) @ (4, N) product rounds otherwise than the same row of a
+        # larger one: pieces of two records, a lone third joining the last,
+        # give the records of one product per step bit for bit
+        spec, rho0 = _column_instance(kind, 1100)
+        cfg = g.IntegratorConfig(t_end=1.0, record_every=0.02)
+        whole = g.integrate(kind, rho0, spec, cfg, keep_states=True)
+        assert whole.stats.accepted < len(whole) / 3   # a step covers several records
+        monkeypatch.setattr(dynamics, "SPAN_ENTRIES", 2 * 1100)
+        pieces = g.integrate(kind, rho0, spec, cfg, keep_states=True)
+        assert pieces.stats == whole.stats
+        np.testing.assert_array_equal(pieces.states.rho, whole.states.rho)
+
+    def test_the_last_record_of_a_run_is_its_last_state(self):
+        rng = np.random.default_rng(5)
+        y, pk, end = rng.uniform(0.5, 1.5, 6), rng.standard_normal((4, 6)), rng.uniform(size=6)
+        theta = np.linspace(0.1, 1.0, 5)
+        free = np.concatenate([*dynamics._dense_output(y, pk, 0.1, theta, None)])
+        rows = np.concatenate([*dynamics._dense_output(y, pk, 0.1, theta, end)])
+        assert rows.shape == (5, 6)
+        np.testing.assert_array_equal(rows[:4], free[:4])
+        np.testing.assert_array_equal(rows[-1], end)
+
+    def test_a_rejection_names_the_worst_cause_of_any_piece(self):
+        low, bad, ok = np.full((2, 3), 1e-20), np.array([[1.0, np.nan, 1.0]]), np.ones((2, 3))
+        assert dynamics._leaves_cone([ok, low, bad], 1e-13) == "nonfinite"
+        assert dynamics._leaves_cone([low, ok], 1e-13) == "positivity"
+        assert dynamics._leaves_cone([ok, ok], 1e-13) == ""
+
+    def test_a_run_without_states_is_not_bounded_by_them(self, monkeypatch):
+        # 401 records x N=2000: the states alone would take 6.4 MB
+        monkeypatch.setattr(dynamics, "MAX_RECORD_ENTRIES", 10 ** 5)
+        spec = random_instance(3, 2000, beta=1.0)
+        rho0 = perturbed_gibbs(spec, 0.5, 3)
+        cfg = g.IntegratorConfig(t_end=4.0, record_every=0.01)
+        tracemalloc.start()
+        try:
+            traj = g.integrate("fpe", rho0, spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 401 and traj.states is None
+        assert monitor(traj, g.invariant_constants(rho0, spec)).all_passed
+        assert peak < 1.5e6   # 0.77 MB measured
+        with pytest.raises(ValueError, match="integrator.record_every=0.01 asks for 401 records"):
+            g.integrate("fpe", rho0, spec, cfg, keep_states=True)
 
 
 def _window(times, L):

@@ -107,7 +107,7 @@ def test_stacked_calls_equal_their_rows_bitwise(ties, spread):
     metric = g.metric_inner(rhos, op, tv, tv)
     assert sig.shape == p.shape == (6, 40) and metric.shape == (6,)
     for k in range(6):
-        row = rhos.rows(k)
+        row = g.Density(rhos.rho[k], spec.weights)
         sig_k = op.flow(row.rho, spec.beta)
         tv_k = g.TangentVector(sig_k, spec.weights, mean_tol=1e-9)
         np.testing.assert_array_equal(sig[k], sig_k)

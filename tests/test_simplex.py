@@ -62,7 +62,6 @@ class TestDensity:
         for k in range(4):
             one = g.Density(rows[k], w)
             assert (stack.inf[k], stack.sup[k], stack.mass()[k]) == (one.inf, one.sup, one.mass())
-            np.testing.assert_array_equal(stack.rows(k).rho, one.rho)
         assert stack.interior.tolist() == [True] * 4
         assert isinstance(g.Density(rows[0], w).inf, float)
 
