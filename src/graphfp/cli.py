@@ -193,12 +193,12 @@ def cmd_gibbs(args, cfg) -> int:
     return EXIT_OK
 
 
-def _run_simulation(cfg, keep_states=False):
+def _run_simulation(cfg, on_records=None):
     spec = cfg.build_spec()
     kind = cfg.dynamics.kind
     rho0 = cfg.build_initial(spec)
     constants = invariant_constants(rho0, spec) if is_gradient_flow(kind, spec.beta) else None
-    traj = integrate(kind, rho0, spec, cfg.integrator, cfg.dynamics.sign, keep_states)
+    traj = integrate(kind, rho0, spec, cfg.integrator, cfg.dynamics.sign, on_records)
     report = monitor(traj, constants)
     try:
         fitted = decay_rate_fit(traj)
@@ -208,11 +208,13 @@ def _run_simulation(cfg, keep_states=False):
 
 
 def cmd_simulate(args, cfg) -> int:
-    traj, constants, report, fitted = _run_simulation(cfg, cfg.write_states)
     meta = _meta(cfg)
+
+    def write(first, states):   # each span of records, as integrate reduces it
+        snapshots_to_csv(_out(cfg), first, states, meta)
+
+    traj, constants, report, fitted = _run_simulation(cfg, write if cfg.write_states else None)
     trajectory_to_csv(_out(cfg, "trajectory.csv"), traj, meta)
-    if cfg.write_states:
-        snapshots_to_csv(_out(cfg), traj, meta)
     _report(cfg, "simulate.json", {
         "kind": traj.kind,
         "constants": constants,
@@ -231,8 +233,9 @@ def _load_pair(args):
     import numpy as np
     rho_a, spec_a = load_density(args.a)
     rho_b, spec_b = load_density(args.b)
-    if not np.array_equal(spec_a.phi, spec_b.phi):
-        raise ConfigError("endpoint files carry different potentials")
+    if not np.array_equal(spec_a.phi, spec_b.phi):   # also when their sizes differ
+        raise ConfigError(f"endpoint files carry different potentials, on N={spec_a.N} "
+                          f"and N={spec_b.N} vertices")
     return rho_a, rho_b, spec_a.phi
 
 

@@ -69,11 +69,16 @@ class DynamicsConfig:
     kind: str = "fpe"
     sign: float = -1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.sign):   # it would make phibar's sort keys nan or inf
+            raise ValueError("dynamics.sign must be finite")
+
 
 # Most record times one trajectory may ask for (t_end / record_every): a run
 # keeps nine floats of columns per record and writes a row of
-# trajectory.csv for it. The states themselves, kept only under
-# write_states, are bounded by dynamics.MAX_RECORD_ENTRIES.
+# trajectory.csv for it. Under write_states each record is also a snapshot
+# file, written as its span is reduced; their entries, records x N, are
+# bounded by dynamics.MAX_RECORD_ENTRIES.
 MAX_RECORDS = 10 ** 6
 
 

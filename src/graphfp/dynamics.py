@@ -73,8 +73,9 @@ _DP_P = np.array([
 ])
 _THETA_POWERS = np.arange(1, 5)
 
-# Most entries, records x N, of the states one trajectory keeps
-# (integrate(..., keep_states=True)): 160 MB of float64.
+# Most entries, records x N, of the states one run hands to a consumer
+# (integrate(..., on_records)), a span at a time: under write_states, the
+# snapshot files, about 500 MB of CSV at the bound.
 MAX_RECORD_ENTRIES = 2 * 10 ** 7
 # Most entries, rows x N, of one block of records whose dissipation
 # integrate reduces at once: one stacked flow, solve and residual. Above
@@ -85,10 +86,10 @@ MAX_RECORD_ENTRIES = 2 * 10 ** 7
 # small run's peak memory: with all 121 records of configs/master.yaml in
 # one block, by 0.26 MB (38.21 against 37.95 MB, medians of 9 processes).
 BLOCK_ENTRIES = 2 ** 10
-# Most entries, rows x N, of the records integrate holds at once outside
-# the kept states: one piece of a step's dense output (two records at
-# least), and one span of whole blocks whose other columns are reduced
-# together; 2^12 float64 entries are 32 KB. Their temporaries set a small
+# Most entries, rows x N, of the records integrate holds at once: one
+# piece of a step's dense output (two records at least), and one span of
+# whole blocks whose other columns are reduced together; 2^12 float64
+# entries are 32 KB. Their temporaries set a small
 # run's peak memory, their count its per-call overhead: at 2^16 one span
 # held all 81 records of the relax benchmark's N = 600 phibar run, which
 # peaked at 38.9 MB against 37.4 MB at 2^12; at 2^11 its N = 150 sweep
@@ -184,8 +185,7 @@ class TrajectoryRecord:
     columns are nan where its kind has no such check: for gradient flows
     ``l2m`` = ||rho - rho*||_m^2, the dissipation ``g`` = g(sigma, sigma)
     and its ``slope`` <u, sigma>_m, with sigma = -L(rho) u; for master
-    ``linf`` = max_i |rho_i - 1|. ``states``, one stacked :class:`Density`
-    with row k the state at ``times[k]``, only when integrate kept them."""
+    ``linf`` = max_i |rho_i - 1|."""
 
     times: np.ndarray
     mass: np.ndarray
@@ -202,7 +202,6 @@ class TrajectoryRecord:
     rho_star: Density | None = None
     sign: float = -1.0
     stats: IntegratorStats = field(default_factory=IntegratorStats)
-    states: Density | None = None
 
     def __len__(self):
         return self.times.size
@@ -213,8 +212,8 @@ _COLUMNS = ("mass", "F_values", "L_values", "inf", "sup", "l2m", "g", "slope", "
 
 def record_times(config: IntegratorConfig, n: int) -> np.ndarray:
     """Times a run records: every record_every, and t_end. Counted first:
-    ValueError if the run keeps n state entries per record and
-    records x n > MAX_RECORD_ENTRIES."""
+    ValueError if the run hands n state entries per record to a consumer
+    and records x n > MAX_RECORD_ENTRIES."""
     every = config.record_every
     k = int(math.floor(config.t_end / every + 1e-9))
     short = k * every < config.t_end * (1.0 - 1e-12)   # t_end is one more record
@@ -244,7 +243,7 @@ def _initial_step(y0, f0, config):
 
 
 def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfig,
-              sign: float = -1.0, keep_states: bool = False) -> TrajectoryRecord:
+              sign: float = -1.0, on_records=None) -> TrajectoryRecord:
     """Advance one trajectory with an adaptive embedded Runge-Kutta pair.
 
     Step sizes follow the error tolerances, bounded only by the last
@@ -254,9 +253,12 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
     positivity floor or is not finite; a failed error estimate shrinks h by
     the usual controller. The records of an accepted step are reduced to
     the record's columns as they arrive (:class:`_Reduction`); every one
-    must carry unit mass within 1e-10 or the run aborts. The states are
-    kept, records x N of them at most MAX_RECORD_ENTRIES, only under
-    ``keep_states``. The record's ``stats`` counts what was done.
+    must carry unit mass within 1e-10 or the run aborts. Each span of
+    checked records goes to ``on_records(first, states)``, when given, as
+    it is reduced: ``states`` a stacked Density whose row j is the record
+    at ``times[first + j]``, a view valid only during the call; records x N
+    of them at most MAX_RECORD_ENTRIES. The record's ``stats`` counts what
+    was done.
     """
     if spec.beta > 0.0:
         rho0.require_interior("integration with beta > 0")
@@ -269,9 +271,9 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
         return rhs(y)
 
     floor = config.positivity_floor
-    rec_times = record_times(config, rho0.rho.size if keep_states else 0)
+    rec_times = record_times(config, 0 if on_records is None else rho0.rho.size)
     t_final = float(rec_times[-1])
-    reduction = _Reduction(kind, spec, op, rec_times, keep_states)
+    reduction = _Reduction(kind, spec, op, rec_times, on_records)
 
     y = rho0.rho.copy()
     t = 0.0
@@ -313,11 +315,8 @@ def integrate(kind: str, rho0: Density, spec: GraphSpec, config: IntegratorConfi
         h = h_use * (5.0 if en == 0.0 else min(5.0, max(0.2, 0.9 * en ** -0.2)))
 
     reduction.reduce()   # the last span
-    states = reduction.states
     return TrajectoryRecord(rec_times, **reduction.columns, spec=spec, kind=kind,
-                            rho_star=reduction.rho_star, sign=sign, stats=stats,
-                            states=None if states is None else Density(states, spec.weights,
-                                                                       mass_tol=1e-10))
+                            rho_star=reduction.rho_star, sign=sign, stats=stats)
 
 
 def _dense_output(y, pk, h, theta, y_end):
@@ -378,17 +377,16 @@ class _Reduction:
     entries within it, with ``op``, the operator of the run's right-hand
     side. A block holds one record at least, and a row gives the same bits
     alone as in any stack. A span holds up to SPAN_ENTRIES entries in whole
-    blocks; when the states are kept, it is a window of them, written in
-    place."""
+    blocks, in one buffer; once checked, it goes to ``on_records``, when
+    given, before its columns are filled."""
 
-    def __init__(self, kind, spec, op, times, keep_states):
+    def __init__(self, kind, spec, op, times, on_records):
         n = spec.m.size
         self.kind, self.spec, self.op, self.times = kind, spec, op, times
+        self.on_records = on_records
         self.rho_star = gibbs(spec) if spec.beta > 0.0 else None
         self.block = max(1, BLOCK_ENTRIES // n)
-        rows = self.block * max(1, SPAN_ENTRIES // (self.block * n))
-        self.states = np.empty((times.size, n)) if keep_states else None
-        self.span = np.empty((rows, n)) if self.states is None else self.states[:rows]
+        self.span = np.empty((self.block * max(1, SPAN_ENTRIES // (self.block * n)), n))
         self.lo = self.fill = 0   # the first record in the span, and the span's records
         self.columns = {name: np.full(times.size, math.nan) for name in _COLUMNS}
 
@@ -399,16 +397,14 @@ class _Reduction:
             if self.fill == len(self.span):
                 self.reduce()
                 self.lo, self.fill = self.lo + self.fill, 0
-                if self.states is not None:
-                    self.span = self.states[self.lo:self.lo + len(self.span)]
             take = records[:len(self.span) - self.fill]
             self.span[self.fill:self.fill + len(take)], records = take, records[len(take):]
             self.fill += len(take)
 
     def reduce(self):
-        """Fill the columns of the records in the span; a state off the
-        unit-mass slice by more than 1e-10 raises InvariantBreachError
-        naming its time."""
+        """Hand on the records in the span and fill their columns; a state
+        off the unit-mass slice by more than 1e-10 raises
+        InvariantBreachError naming its time, before any is handed on."""
         spec, c, lo, r = self.spec, self.columns, self.lo, self.span[:self.fill]
         try:   # r is a view, which the Density makes read-only
             rho = Density(r, spec.weights, mass_tol=1e-10)
@@ -416,6 +412,8 @@ class _Reduction:
             raise InvariantBreachError(
                 f"recorded state at t={float(self.times[lo + exc.row])!r} invalid: "
                 f"row {lo + exc.row}: {exc.reason}") from exc
+        if self.on_records is not None:
+            self.on_records(lo, rho)
         at = slice(lo, lo + len(r))
         c["mass"][at], c["inf"][at], c["sup"][at] = rho.mass(), rho.inf, rho.sup
         c["F_values"][at] = free_energy(rho, spec)

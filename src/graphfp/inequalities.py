@@ -167,8 +167,9 @@ def sample_in_class(rng: np.random.Generator, weights: WeightSequence,
     m = weights.m
     d = rng.uniform(-1.0, 1.0, m.size)
     d = d - float(np.dot(m, d))
-    scale = min(np.min((cls.nu_sup - 1.0) / d[d > 0.0], initial=math.inf),
-                np.min((cls.nu_inf - 1.0) / d[d < 0.0], initial=math.inf))
+    with np.errstate(over="ignore"):   # a huge bound over a tiny entry: inf, mapped below
+        scale = min(np.min((cls.nu_sup - 1.0) / d[d > 0.0], initial=math.inf),
+                    np.min((cls.nu_inf - 1.0) / d[d < 0.0], initial=math.inf))
     if not math.isfinite(scale):
         scale = 0.0
     a = rng.uniform(0.2, SAMPLE_SPREAD) * scale

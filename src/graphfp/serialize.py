@@ -8,6 +8,7 @@ binary values.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -137,26 +138,24 @@ def trajectory_to_csv(path, traj, meta: dict | None = None) -> None:
     table_to_csv(path, ("t", "mass", "F", "L", "inf_rho", "sup_rho"), zip(*columns), meta)
 
 
+@functools.lru_cache(maxsize=1)
 def _vertex_rows(n: int, lead: str = "") -> str:
     """%-template of the per-vertex rows ``<lead>i,rho_i``, i = 1..n, built
-    once per call of a writer: %r of a Python float is fmt's repr."""
+    once for the calls of a writer in one run: %r of a Python float is
+    fmt's repr."""
     return "".join([f"{lead}{i},%r\n" for i in range(1, n + 1)])
 
 
-def snapshots_to_csv(outdir, traj, meta: dict | None = None) -> list:
+def snapshots_to_csv(outdir, first: int, states: Density, meta: dict | None = None) -> None:
     """Per-vertex snapshot files state_<k>.csv with rows ``i, rho_i``, one
-    per row of the stacked ``traj.states``, which a trajectory holds only
-    when integrate kept its states."""
+    per row of the stacked ``states``, k counted from ``first``: the CLI
+    writes each span of records as integrate hands it on."""
     header = _csv_header_comment(meta) + "i,rho_i\n"
-    states = traj.states.rho
-    rows = _vertex_rows(states.shape[-1])
-    paths = []
-    for k, rho in enumerate(states):
-        p = os.path.join(outdir, f"state_{k}.csv")
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
+    rows = _vertex_rows(states.rho.shape[-1])
+    for k, rho in enumerate(states.rho, start=first):
+        with open(os.path.join(outdir, f"state_{k}.csv"), "w", encoding="utf-8",
+                  newline="\n") as fh:
             fh.write(header + rows % tuple(rho.tolist()))
-        paths.append(p)
-    return paths
 
 
 def path_to_csv(path, geodesic_path: Density, meta: dict | None = None) -> None:

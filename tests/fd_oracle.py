@@ -58,15 +58,16 @@ def fd_slope(f, spec, y0, h0):
     return best
 
 
-def fd_dissipation(traj, samples=20):
+def fd_dissipation(traj, states, samples=20):
     """Worst relative deviation |dF/dt + g| / g of the finite-difference
     slope over ``samples`` recorded times spread evenly across those above
-    the monitor's noise floor, and the number of probes that completed."""
+    the monitor's noise floor, and the number of probes that completed;
+    ``states`` is the run's stacked Density, row k at ``traj.times[k]``."""
     spec = traj.spec
     f = _rhs_closure(traj.kind, spec, traj.sign)
     candidates = []
-    for k in np.flatnonzero(traj.states.interior):
-        state = g.Density(traj.states.rho[k], spec.weights, mass_tol=1e-10)
+    for k in np.flatnonzero(states.interior):
+        state = g.Density(states.rho[k], spec.weights, mass_tol=1e-10)
         tv = g.TangentVector(f(state.rho), spec.weights, mean_tol=1e-9)
         gk = g.metric_inner(state, spec.phi, tv, tv)
         if gk >= 1e-8 * (1.0 + abs(traj.F_values[k])):
@@ -79,7 +80,7 @@ def fd_dissipation(traj, samples=20):
     worst, completed = 0.0, 0
     for k, gk in candidates:
         try:
-            slope = fd_slope(f, spec, traj.states.rho[k], h0)
+            slope = fd_slope(f, spec, states.rho[k], h0)
         except FloatingPointError:
             continue
         completed += 1

@@ -57,6 +57,20 @@ def perturbed_gibbs(spec, epsilon, seed):
                                 spec.weights)
 
 
+def integrate_states(kind, rho0, spec, config, sign=-1.0):
+    """``integrate``'s trajectory and its states, collected from the spans
+    it hands on in order: one stacked Density whose row k is the state at
+    ``times[k]``."""
+    spans = []
+
+    def collect(first, states):
+        assert first == sum(len(s) for s in spans)
+        spans.append(states.rho.copy())
+
+    traj = g.integrate(kind, rho0, spec, config, sign, on_records=collect)
+    return traj, g.Density(np.concatenate(spans), spec.weights, mass_tol=1e-10)
+
+
 def run_python(code, **env):
     """stdout, stripped, of ``code`` run in a fresh interpreter that imports
     graphfp from this checkout. ``OPENBLAS_NUM_THREADS`` is removed from

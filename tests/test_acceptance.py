@@ -20,7 +20,7 @@ from graphfp.dynamics import monitor
 from graphfp.serialize import save_density
 import dense_oracle
 from fd_oracle import fd_dissipation
-from helpers import explicit_weights, half_weights, random_interior
+from helpers import explicit_weights, half_weights, integrate_states, random_interior
 from test_inequalities import w1_vertex_oracle
 from test_metric import two_vertex_oracle
 
@@ -110,45 +110,44 @@ def decay_runs():
         rho0 = g.Density.normalized(star.rho * np.exp(rng.uniform(-0.5, 0.5, spec.N)),
                                     spec.weights)
         constants = g.invariant_constants(rho0, spec)
-        traj = g.integrate("fpe", rho0, spec, cfg, keep_states=True)
+        traj, states = integrate_states("fpe", rho0, spec, cfg)
         report = monitor(traj, constants)
-        runs.append((spec, traj, constants, report))
+        runs.append((states, traj, constants, report))
     return runs, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def side_runs():
     """Stationary, zero-diffusion, and master trajectories for the
-    conservation and dissipation criteria."""
+    conservation and dissipation criteria, each with its states."""
     runs = []
     spec = g.GraphSpec(weights=explicit_weights(10, seed=1),
                        phi=np.random.default_rng(1).uniform(-2, 2, 10), beta=1.0)
     star = g.gibbs(spec)
-    runs.append(g.integrate("fpe", star, spec,
-                            g.IntegratorConfig(t_end=10.0, record_every=0.5), keep_states=True))
+    runs.append(integrate_states("fpe", star, spec,
+                                 g.IntegratorConfig(t_end=10.0, record_every=0.5)))
     spec0 = g.GraphSpec(weights=explicit_weights(8, seed=2),
                         phi=np.random.default_rng(2).uniform(-2, 2, 8), beta=0.0)
-    runs.append(g.integrate("beta_zero", random_interior(2, spec0.weights), spec0,
-                            g.IntegratorConfig(t_end=3.0, record_every=0.1), keep_states=True))
+    runs.append(integrate_states("beta_zero", random_interior(2, spec0.weights), spec0,
+                                 g.IntegratorConfig(t_end=3.0, record_every=0.1)))
     for i in range(10):
         n = (3, 7, 25)[i % 3]
         beta = (0.5, 1.0, 2.0)[i % 3]
         spec_m = g.GraphSpec(weights=explicit_weights(n, seed=50 + i),
                              phi=np.zeros(n), beta=beta)
         rho0 = random_interior(60 + i, spec_m.weights)
-        runs.append(g.integrate("master", rho0, spec_m,
-                                g.IntegratorConfig(t_end=3.0, record_every=0.1),
-                                keep_states=True))
+        runs.append(integrate_states("master", rho0, spec_m,
+                                     g.IntegratorConfig(t_end=3.0, record_every=0.1)))
     return runs
 
 
 def test_02_mass_conservation(decay_runs, side_runs):
     runs, _ = decay_runs
     worst = 0.0
-    for _, traj, _, _ in runs:
-        worst = max(worst, float(np.abs(traj.states.mass() - 1.0).max()))
-    for traj in side_runs:
-        worst = max(worst, float(np.abs(traj.states.mass() - 1.0).max()))
+    for states, _, _, _ in runs:
+        worst = max(worst, float(np.abs(states.mass() - 1.0).max()))
+    for _, states in side_runs:
+        worst = max(worst, float(np.abs(states.mass() - 1.0).max()))
     _report(2, "mass conservation", worst <= 1e-10, f"(max drift {worst:.2e})")
 
 
@@ -159,16 +158,16 @@ def test_03_free_energy_dissipation(decay_runs, side_runs):
     min_fd_samples = math.inf
     worst_chain = 0.0
     min_samples = math.inf
-    for _, traj, _, report in runs:
+    for states, traj, _, report in runs:
         worst_inc = max(worst_inc, float(np.diff(traj.F_values).max()))
         check = report.checks["dissipation_identity"]
         assert not check.skipped and check.passed
         min_samples = min(min_samples, int(check.detail.split()[0]))
         worst_chain = max(worst_chain, 1e-4 - check.margin)
-        dev, completed = fd_dissipation(traj, samples=20)
+        dev, completed = fd_dissipation(traj, states, samples=20)
         worst_fd = max(worst_fd, dev)
         min_fd_samples = min(min_fd_samples, completed)
-    for traj in side_runs:
+    for traj, _ in side_runs:
         if len(traj) > 1:
             worst_inc = max(worst_inc, float(np.diff(traj.F_values).max()))
     ok = (worst_inc <= 1e-10 and worst_fd <= 1e-4 and min_fd_samples >= 20
@@ -219,16 +218,16 @@ def test_06_l2m_convergence(decay_runs):
 def test_07_master_equation(side_runs):
     spec = g.GraphSpec(weights=half_weights(), phi=np.zeros(2), beta=1.0)
     rho0 = g.Density(np.array([1.5, 0.5]), spec.weights)
-    traj = g.integrate("master", rho0, spec,
-                       g.IntegratorConfig(t_end=2.0, record_every=0.25), keep_states=True)
+    traj, states = integrate_states("master", rho0, spec,
+                                    g.IntegratorConfig(t_end=2.0, record_every=0.25))
     worst = 0.0
     for t_probe in (0.5, 1.0, 2.0):
         k = int(np.argmin(np.abs(traj.times - t_probe)))
         expect = np.array([1 + 0.5 * math.exp(-t_probe), 1 - 0.5 * math.exp(-t_probe)])
-        worst = max(worst, float(np.abs(traj.states.rho[k] - expect).max()))
+        worst = max(worst, float(np.abs(states.rho[k] - expect).max()))
     sup_margin = math.inf
     count = 0
-    for traj_m in side_runs:
+    for traj_m, _ in side_runs:
         if traj_m.kind != "master":
             continue
         count += 1

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import graphfp as g
-from graphfp import cli
+from graphfp import cli, dynamics
 from graphfp.cli import main
 from graphfp.config import ExperimentConfig
 from graphfp.errors import ConvergenceError, InvariantBreachError, StiffnessError
@@ -416,13 +416,15 @@ class TestSnapshotFiles:
     def test_bytes_match_the_per_value_formatter(self, tmp_path):
         values = np.array([0.1 + 0.2, 1e-300, 5e-324, 1e16, 1.0, 2.0 / 3.0, -0.0, 1e-5,
                            123456789.125, 1.7976931348623157e308])
-        traj = SimpleNamespace(states=SimpleNamespace(rho=np.array([values, values[::-1] / 3.0])))
+        states = np.array([values, values[::-1] / 3.0, values / 7.0])
         meta = {"config": {"outputs": "100%s %d %r"}, "seed": 1}  # '%' stays literal
-        paths = snapshots_to_csv(tmp_path, traj, meta)
+        # two spans, as integrate hands them on: records 0-1, then record 2
+        snapshots_to_csv(tmp_path, 0, SimpleNamespace(rho=states[:2]), meta)
+        snapshots_to_csv(tmp_path, 2, SimpleNamespace(rho=states[2:]), meta)
         header = _csv_header_comment(meta) + "i,rho_i\n"
-        assert len(paths) == 2
-        for path, rho in zip(paths, traj.states.rho):
-            with open(path, "rb") as fh:
+        assert sorted(os.listdir(tmp_path)) == [f"state_{k}.csv" for k in range(3)]
+        for k, rho in enumerate(states):
+            with open(tmp_path / f"state_{k}.csv", "rb") as fh:
                 assert fh.read() == (header + _per_value_rows(rho)).encode()
 
 
@@ -575,6 +577,30 @@ class TestSimulateCommand:
         assert (tmp_path / "out" / "state_0.csv").exists()
         assert (tmp_path / "out" / "state_2.csv").exists()
 
+    def test_failure_after_a_span_keeps_its_snapshots(self, tmp_path, monkeypatch, capsys):
+        # spans of 25 records at N=40: once the first span is written, every
+        # step is rejected as non-finite until the step size underflows
+        monkeypatch.setattr(dynamics, "SPAN_ENTRIES", dynamics.BLOCK_ENTRIES)
+        args = ["simulate", "--config", "configs/decay.yaml", "--set", "write_states=true"]
+        assert run([*args, "--out", tmp_path / "clean"]) == 0
+        written = []
+
+        def write(outdir, first, states, meta):
+            snapshots_to_csv(outdir, first, states, meta)
+            written.extend(range(first, first + len(states.rho)))
+
+        monkeypatch.setattr(cli, "snapshots_to_csv", write)
+        step = dynamics._dp54_step
+        monkeypatch.setattr(dynamics, "_dp54_step", lambda *a: step(*a) if len(written) < 25
+                            else ("nonfinite", None, None, None))
+        assert run([*args, "--out", tmp_path / "out"]) == 3
+        assert "step size underflow" in capsys.readouterr().err
+        names = sorted(os.listdir(tmp_path / "out"))   # no trajectory.csv, no simulate.json
+        assert names == sorted(f"state_{k}.csv" for k in range(25))
+        for name in names:   # the same rows below the header, which names the directory
+            got, want = ((tmp_path / d / name).read_text().split("\n", 1) for d in ("out", "clean"))
+            assert got[1] == want[1]
+
     def test_unknown_kind_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, BASE.format(
             n=12, pot="constant", beta=1.0, eps=0.3, t_end=0.5, rec=0.25,
@@ -689,6 +715,17 @@ class TestMetricCommand:
         pb2 = tmp_path / "b2.txt"
         save_density(pb2, random_interior(1, w2), spec2)
         assert run(["metric", "--a", pa, "--b", pb2, "--out", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("command", ["metric", "w1"])
+    def test_endpoints_of_different_sizes_name_them(self, tmp_path, capsys, command):
+        paths = []
+        for n in (2, 3):
+            w = explicit_weights(n)
+            paths.append(tmp_path / f"n{n}.txt")
+            save_density(paths[-1], g.Density(np.ones(n), w), g.GraphSpec(w, np.zeros(n), 1.0))
+        assert run([command, "--a", paths[0], "--b", paths[1], "--out", tmp_path / "out"]) == 2
+        assert "different potentials, on N=2 and N=3 vertices" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestW1Command:

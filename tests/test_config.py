@@ -59,7 +59,8 @@ def test_defaults_are_the_cli_defaults():
     {"potential": {"seed": 0.5}}, {"geodesic": {"grad_tol": float("nan")}},
     {"geodesic": {"grad_tol": -1.0}}, {"geodesic": {"max_iters": -1}},
     {"geodesic": {"positivity_floor": -1.0}}, {"geodesic": {"positivity_floor": 0.0}},
-    {"seed": -1}, {"potential": {"seed": -1}}, {"initial": {"seed": -1}}])
+    {"seed": -1}, {"potential": {"seed": -1}}, {"initial": {"seed": -1}},
+    {"dynamics": {"sign": float("nan")}}, {"dynamics": {"sign": float("inf")}}])
 def test_wrong_type_is_config_error(tree):
     with pytest.raises(ConfigError):
         ExperimentConfig.load(values=tree)

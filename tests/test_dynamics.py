@@ -17,8 +17,8 @@ from graphfp.config import MAX_RECORDS
 from graphfp.dynamics import monitor
 from graphfp.errors import InsufficientDataError, InvariantBreachError, StiffnessError
 from graphfp.simplex import _m_dot
-from helpers import explicit_weights, half_weights, perturbed_gibbs, random_instance, \
-    random_interior
+from helpers import explicit_weights, half_weights, integrate_states, perturbed_gibbs, \
+    random_instance, random_interior
 
 
 def _spec(phi, beta, n=None, seed=0):
@@ -189,27 +189,27 @@ class TestIntegrate:
     def test_stationary_start_stays_constant(self):
         spec = random_instance(1, 10, beta=1.0)
         star = g.gibbs(spec)
-        traj = g.integrate("fpe", star, spec,
-                           g.IntegratorConfig(t_end=10.0, record_every=0.5), keep_states=True)
-        drift = np.abs(traj.states.rho - star.rho).max()
+        _, states = integrate_states("fpe", star, spec,
+                                     g.IntegratorConfig(t_end=10.0, record_every=0.5))
+        drift = np.abs(states.rho - star.rho).max()
         assert drift <= 1e-9
 
     def test_master_two_state_closed_form(self):
         # symmetric two-state system: rho(t) = 1 +/- (1/2) exp(-t)
         spec = g.GraphSpec(weights=half_weights(), phi=np.zeros(2), beta=1.0)
         rho0 = g.Density(np.array([1.5, 0.5]), spec.weights)
-        traj = g.integrate("master", rho0, spec,
-                           g.IntegratorConfig(t_end=2.0, record_every=0.25), keep_states=True)
+        traj, states = integrate_states("master", rho0, spec,
+                                        g.IntegratorConfig(t_end=2.0, record_every=0.25))
         k = int(np.argmin(np.abs(traj.times - 1.0)))
         expect = np.array([1 + 0.5 * math.exp(-1.0), 1 - 0.5 * math.exp(-1.0)])
-        np.testing.assert_allclose(traj.states.rho[k], expect, atol=1e-6)
+        np.testing.assert_allclose(states.rho[k], expect, atol=1e-6)
 
     def test_mass_conserved_at_all_records(self):
         spec = random_instance(2, 25, beta=0.5)
         rho0 = perturbed_gibbs(spec, 0.5, 3)
-        traj = g.integrate("fpe", rho0, spec,
-                           g.IntegratorConfig(t_end=4.0, record_every=0.05), keep_states=True)
-        assert np.abs(traj.states.mass() - 1.0).max() <= 1e-10
+        _, states = integrate_states("fpe", rho0, spec,
+                                     g.IntegratorConfig(t_end=4.0, record_every=0.05))
+        assert np.abs(states.mass() - 1.0).max() <= 1e-10
 
     def test_record_grid_hits_t_end(self):
         spec = random_instance(3, 6, beta=1.0)
@@ -296,8 +296,8 @@ class TestIntegrate:
         cfg = g.IntegratorConfig(t_end=1.0, record_every=0.5, abs_tol=1e308, rel_tol=1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = g.integrate("fpe", rho0, spec, cfg, keep_states=True)
-        assert np.isfinite(traj.states.rho).all()
+            _, states = integrate_states("fpe", rho0, spec, cfg)
+        assert np.isfinite(states.rho).all()
 
     def test_rms_is_the_plain_formula_without_overflow(self):
         rng = np.random.default_rng(3)
@@ -330,16 +330,16 @@ class TestDenseOutput:
         cfg = g.IntegratorConfig(t_end=4.0, record_every=record_every)
         ref_cfg = g.IntegratorConfig(t_end=4.0, record_every=record_every,
                                      rel_tol=1e-13, abs_tol=1e-15)
-        traj = g.integrate(kind, rho0, spec, cfg, keep_states=True)
-        ref = g.integrate(kind, rho0, spec, ref_cfg, keep_states=True)
+        traj, states = integrate_states(kind, rho0, spec, cfg)
+        ref, ref_states = integrate_states(kind, rho0, spec, ref_cfg)
         if record_every < 0.05:
             assert traj.stats.accepted < len(traj) / 2   # one step covers several records
         else:
             assert traj.stats.accepted > 2 * len(traj)   # several steps per record
         np.testing.assert_array_equal(traj.times, ref.times)
-        want = ref.states.rho
+        want = ref_states.rho
         bound = 10.0 * (cfg.abs_tol + cfg.rel_tol * np.abs(want))
-        assert np.all(np.abs(traj.states.rho - want) <= bound)
+        assert np.all(np.abs(states.rho - want) <= bound)
 
     def test_interpolation_matrix_is_the_dormand_prince_one(self):
         rk = pytest.importorskip("scipy.integrate._ivp.rk")
@@ -353,11 +353,11 @@ class TestDenseOutput:
         clean = g.integrate("fpe", rho0, spec, cfg)
         assert clean.stats.rejected["positivity"] == 0
         monkeypatch.setattr(dynamics, "_DP_P", 1e3 * dynamics._DP_P)
-        traj = g.integrate("fpe", rho0, spec, cfg, keep_states=True)
+        traj, states = integrate_states("fpe", rho0, spec, cfg)
         assert traj.stats.rejected["positivity"] > 0
-        assert traj.states.inf.min() >= cfg.positivity_floor
+        assert states.inf.min() >= cfg.positivity_floor
         # a rejected step's records were never reduced
-        np.testing.assert_array_equal(traj.inf, traj.states.inf)
+        np.testing.assert_array_equal(traj.inf, states.inf)
 
     def test_rhs_count_on_the_decay_run(self):
         # 494 evaluations when every record time ended a step, 133 now
@@ -477,11 +477,11 @@ class TestMonitor:
     def test_dissipation_counts_completed_samples(self):
         spec = random_instance(6, 12, beta=1.0)
         rho0 = perturbed_gibbs(spec, 0.5, 7)
-        traj = g.integrate("fpe", rho0, spec,
-                           g.IntegratorConfig(t_end=1.0, record_every=0.05), keep_states=True)
+        traj, states = integrate_states("fpe", rho0, spec,
+                                        g.IntegratorConfig(t_end=1.0, record_every=0.05))
         above = 0
         for k, F in enumerate(traj.F_values):
-            state = g.Density(traj.states.rho[k], spec.weights, mass_tol=1e-10)
+            state = g.Density(states.rho[k], spec.weights, mass_tol=1e-10)
             sig = g.fokker_planck_rhs(state, spec)
             if g.metric_inner(state, spec.phi, sig, sig) >= 1e-8 * (1.0 + abs(F)):
                 above += 1
@@ -534,10 +534,10 @@ class TestMonitor:
     def test_invariant_set_never_entered_fails(self):
         spec = random_instance(6, 12, beta=1.0)
         rho0 = perturbed_gibbs(spec, 0.5, 7)
-        traj = g.integrate("fpe", rho0, spec,
-                           g.IntegratorConfig(t_end=1.0, record_every=0.1), keep_states=True)
+        traj, states = integrate_states("fpe", rho0, spec,
+                                        g.IntegratorConfig(t_end=1.0, record_every=0.1))
         consts = g.invariant_constants(rho0, spec)
-        above = dataclasses.replace(consts, lower_bound=2.0 * float(traj.states.inf.max()))
+        above = dataclasses.replace(consts, lower_bound=2.0 * float(states.inf.max()))
         check = monitor(traj, above).checks["invariant_set"]
         assert (check.passed, check.skipped) == (False, False)
         assert check.detail == "state never entered the invariant set"
@@ -590,12 +590,12 @@ class TestColumns:
         spec, rho0 = _column_instance(kind, n)
         cfg = g.IntegratorConfig(t_end=1.0, record_every=0.02)
         bare = g.integrate(kind, rho0, spec, cfg)
-        kept = g.integrate(kind, rho0, spec, cfg, keep_states=True)
-        assert bare.states is None and kept.states.rho.shape == (51, n)
+        kept, states = integrate_states(kind, rho0, spec, cfg)
+        assert states.rho.shape == (51, n)
         star = kept.rho_star
         rhs = dynamics._rhs_closure(kind, spec)
         want = {name: np.full(len(kept), np.nan) for name in dynamics._COLUMNS}
-        for k, row in enumerate(kept.states.rho):
+        for k, row in enumerate(states.rho):
             rho = g.Density(row, spec.weights, mass_tol=1e-10)
             want["mass"][k], want["inf"][k], want["sup"][k] = rho.mass(), rho.inf, rho.sup
             want["F_values"][k] = g.free_energy(rho, spec)
@@ -620,12 +620,12 @@ class TestColumns:
         # give the records of one product per step bit for bit
         spec, rho0 = _column_instance(kind, 1100)
         cfg = g.IntegratorConfig(t_end=1.0, record_every=0.02)
-        whole = g.integrate(kind, rho0, spec, cfg, keep_states=True)
+        whole, whole_states = integrate_states(kind, rho0, spec, cfg)
         assert whole.stats.accepted < len(whole) / 3   # a step covers several records
         monkeypatch.setattr(dynamics, "SPAN_ENTRIES", 2 * 1100)
-        pieces = g.integrate(kind, rho0, spec, cfg, keep_states=True)
+        pieces, piece_states = integrate_states(kind, rho0, spec, cfg)
         assert pieces.stats == whole.stats
-        np.testing.assert_array_equal(pieces.states.rho, whole.states.rho)
+        np.testing.assert_array_equal(piece_states.rho, whole_states.rho)
 
     def test_the_last_record_of_a_run_is_its_last_state(self):
         rng = np.random.default_rng(5)
@@ -655,11 +655,36 @@ class TestColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(traj) == 401 and traj.states is None
+        assert len(traj) == 401 and not hasattr(traj, "states")
         assert monitor(traj, g.invariant_constants(rho0, spec)).all_passed
         assert peak < 1.5e6   # 0.77 MB measured
         with pytest.raises(ValueError, match="integrator.record_every=0.01 asks for 401 records"):
-            g.integrate("fpe", rho0, spec, cfg, keep_states=True)
+            g.integrate("fpe", rho0, spec, cfg, on_records=lambda first, states: None)
+
+    def test_a_consumer_gets_every_record_without_a_states_array(self):
+        # each span goes to the consumer as it is reduced: the run holds one
+        # span buffer, not the 6.4 MB of 401 records x N=2000
+        spec = random_instance(3, 2000, beta=1.0)
+        rho0 = perturbed_gibbs(spec, 0.5, 3)
+        cfg = g.IntegratorConfig(t_end=4.0, record_every=0.01)
+        spans, masses = [], []
+
+        def consume(first, states):
+            spans.append((first, len(states.rho)))
+            masses.extend(states.mass().tolist())
+
+        tracemalloc.start()
+        try:
+            traj = g.integrate("fpe", rho0, spec, cfg, on_records=consume)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6   # 0.76 MB measured
+        assert [k for first, n in spans for k in range(first, first + n)] == list(range(401))
+        np.testing.assert_array_equal(masses, traj.mass)
+        bare = g.integrate("fpe", rho0, spec, cfg)
+        for name in dynamics._COLUMNS:
+            np.testing.assert_array_equal(getattr(traj, name), getattr(bare, name))
 
 
 def _window(times, L):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,18 @@ class TestSampleInClass:
             nu = g.sample_in_class(rng, w, cls)
             assert cls.contains(nu)
             assert nu.mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_upper_bound_warns_nothing(self):
+        # (nu_sup - 1) / d overflows to inf for every entry d < 1, and the
+        # lower bound then sets the scale
+        w = explicit_weights(12, seed=8)
+        cls = g.TalagrandClass(nu_inf=0.5, nu_sup=1e308)
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                nu = g.sample_in_class(rng, w, cls)
+                assert cls.contains(nu) and nu.inf < 1.0
 
     def test_empty_class_rejected(self):
         w = explicit_weights(4)
