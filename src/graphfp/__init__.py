@@ -9,10 +9,10 @@ BLAS thread default before anything loads numpy.
 import importlib
 
 _EXPORTS = {
-    "config": ("GeodesicConfig", "IntegratorConfig"),
+    "config": ("ConfigError", "ExperimentConfig", "GeodesicConfig", "IntegratorConfig"),
     "dynamics": ("MonitorReport", "TrajectoryRecord",
                  "decay_rate_fit", "effective_potential_rhs", "fokker_planck_rhs",
-                 "integrate", "monitor"),
+                 "integrate", "is_gradient_flow", "monitor"),
     "errors": ("ConvergenceError", "InsufficientDataError", "InvalidRowError",
                "InvariantBreachError", "NearTieWarning", "StiffnessError", "TruncationError"),
     "graph": ("GraphSpec", "WeightFamily", "WeightSequence", "build_weights",
@@ -24,6 +24,8 @@ _EXPORTS = {
     "metric": ("GeodesicResult", "apply_mobility", "geodesic_distance",
                "kernel_dimension_check", "norm_equivalence_check"),
     "mobility": ("invert_mobility", "metric_inner"),
+    "serialize": ("load_density", "path_to_csv", "save_density", "snapshots_to_csv",
+                  "table_to_csv", "trajectory_to_csv", "write_report"),
     "simplex": ("ConstantsReport", "Density", "TangentVector", "free_energy", "gibbs",
                 "invariant_constants", "l2m_norm_sq", "project_tangent",
                 "relative_energy", "relative_entropy"),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
 import itertools
 import os
 import sys
@@ -25,6 +24,7 @@ import sys
 # before numpy loads; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from . import _EXPORTS, _MODULE_OF
 from .errors import (ConvergenceError, InsufficientDataError, InvariantBreachError,
                      StiffnessError, TruncationError)
 
@@ -39,30 +39,20 @@ NUMERICAL_FAILURES = (StiffnessError, ConvergenceError, InvariantBreachError)
 # entry of the report.
 MAX_SAMPLES = 10 ** 4
 
-# The library names the commands call, by module. A module is loaded when a
-# command that runs it is dispatched, so importing this module, --help and
-# usage errors load neither numpy nor the library. Each name is bound as a
-# global here unless one is bound already: what a test or a tracer puts in
-# its place, before or after the load, is what the commands call.
-_NAMES = {
-    "config": ("ConfigError", "ExperimentConfig", "_set_dotted"),
-    "dynamics": ("decay_rate_fit", "integrate", "is_gradient_flow", "monitor"),
-    "inequalities": ("TalagrandClass", "sample_in_class", "talagrand_constants",
-                     "verify_talagrand", "verify_w1_bound", "w1_distance"),
-    "metric": ("geodesic_distance",),
-    "serialize": ("load_density", "path_to_csv", "save_density", "snapshots_to_csv",
-                  "table_to_csv", "trajectory_to_csv", "write_report"),
-    "simplex": ("gibbs", "invariant_constants"),
-}
-_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 # Every command reads its config and writes a report, and config loads simplex.
 _COMMON = ("config", "serialize", "simplex")
 
 
 def _load(module: str) -> None:
-    lib = importlib.import_module(f".{module}", __package__)
-    for name in _NAMES[module]:
-        globals().setdefault(name, getattr(lib, name))
+    """Load library ``module`` and bind the names the package exports from
+    it as globals here, unless one is bound already: what a test or a
+    tracer puts in its place, before or after the load, is what the
+    commands call. A module is loaded when a command that runs it is
+    dispatched, so importing this module, --help and usage errors load
+    neither numpy nor the library."""
+    package = sys.modules[__package__]   # its first name loads the module
+    for name in _EXPORTS[module]:
+        globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
@@ -312,6 +302,7 @@ def cmd_sweep(args, cfg) -> int:
     # every grid point and its weights and potential are built before any
     # runs, so a config mistake exits 2; a point's spec is built again when
     # it runs, so the sweep holds one at a time, and it keeps no states
+    from .config import _set_dotted   # loaded with every command
     points = []
     for combo in combos:
         tree = {**cfg.resolved(), "sweep": {}}

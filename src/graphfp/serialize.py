@@ -155,7 +155,8 @@ def snapshots_to_csv(outdir, first: int, states: Density, meta: dict | None = No
     for k, rho in enumerate(states.rho, start=first):
         with open(os.path.join(outdir, f"state_{k}.csv"), "w", encoding="utf-8",
                   newline="\n") as fh:
-            fh.write(header + rows % tuple(rho.tolist()))
+            fh.write(header)   # apart from the body: no copy of it is joined
+            fh.write(rows % tuple(rho.tolist()))
 
 
 def path_to_csv(path, geodesic_path: Density, meta: dict | None = None) -> None:

@@ -58,13 +58,14 @@ def fd_slope(f, spec, y0, h0):
     return best
 
 
-def fd_dissipation(traj, states, samples=20):
+def fd_dissipation(traj, states, samples=20, sign=-1.0):
     """Worst relative deviation |dF/dt + g| / g of the finite-difference
     slope over ``samples`` recorded times spread evenly across those above
     the monitor's noise floor, and the number of probes that completed;
-    ``states`` is the run's stacked Density, row k at ``traj.times[k]``."""
+    ``states`` is the run's stacked Density, row k at ``traj.times[k]``,
+    and ``sign`` the one the run was integrated with."""
     spec = traj.spec
-    f = _rhs_closure(traj.kind, spec, traj.sign)
+    f = _rhs_closure(traj.kind, spec, sign)
     candidates = []
     for k in np.flatnonzero(states.interior):
         state = g.Density(states.rho[k], spec.weights, mass_tol=1e-10)

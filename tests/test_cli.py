@@ -2,10 +2,11 @@
 
 import csv
 import gc
-import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -193,17 +194,30 @@ class TestTracerContract:
     must be what the command calls."""
 
     def test_every_wrapped_name_resolves(self):
+        # in a fresh interpreter and before any command runs, as the tracer
+        # installs its wrappers: a graphfp.cli name is the package's object,
+        # and the first one looked up loads numpy
         path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "perfbench", "tracecli.py")
-        spec = importlib.util.spec_from_file_location("tracecli", path)
-        tracecli = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracecli)
-        for module_name, names in tracecli.WRAPPED.items():
-            module = importlib.import_module(module_name)
-            for name in names:
-                assert callable(getattr(module, name)), f"{module_name}.{name}"
-        for name in tracecli.WRAPPED_METHODS:
-            assert callable(getattr(ExperimentConfig, name)), name
+        code = ("import importlib, importlib.util, json, sys\n"
+                f"spec = importlib.util.spec_from_file_location('tracecli', {path!r})\n"
+                "tracecli = importlib.util.module_from_spec(spec)\n"
+                "spec.loader.exec_module(tracecli)\n"
+                "import graphfp, graphfp.cli\n"
+                "numpy = ['numpy' in sys.modules]\n"
+                "getattr(graphfp.cli, next(iter(tracecli.WRAPPED['graphfp.cli'])))\n"
+                "numpy.append('numpy' in sys.modules)\n"
+                "bad = []\n"
+                "for module_name, names in tracecli.WRAPPED.items():\n"
+                "    module = importlib.import_module(module_name)\n"
+                "    bad += [f'{module_name}.{name}' for name in names\n"
+                "            if not callable(getattr(module, name, None)) or module is graphfp.cli\n"
+                "            and getattr(module, name) is not getattr(graphfp, name)]\n"
+                "cls = graphfp.cli.ExperimentConfig\n"
+                "bad += [name for name in tracecli.WRAPPED_METHODS\n"
+                "        if not callable(getattr(cls, name, None))]\n"
+                "print(json.dumps([numpy, bad, cls is graphfp.config.ExperimentConfig]))")
+        assert json.loads(run_python(code)) == [[False, True], [], True]
 
     @pytest.mark.parametrize("command, name", [
         ("simulate", "integrate"), ("metric", "geodesic_distance"), ("w1", "w1_distance")])
@@ -550,6 +564,30 @@ class TestSimulateCommand:
                     "--out", tmp_path / "sweep"]) == 3
         rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["rows"]
         assert [r["status"] for r in rows] == ["error: injected"] * 2
+
+    def test_a_run_to_a_far_end_exits_3_within_its_step_budget(self, tmp_path):
+        # at equilibrium the step is bound by stability: without a budget
+        # this run stepped for ever
+        args = ["-W", "error::RuntimeWarning", "-m", "graphfp.cli", "simulate",
+                "--config", "configs/decay.yaml", "--set", "integrator.t_end=1e300",
+                "--set", "integrator.record_every=1e299", "--out", str(tmp_path / "out")]
+        src = os.path.dirname(os.path.dirname(g.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 3, done.stderr
+        assert f"MAX_STEP_ATTEMPTS = {dynamics.MAX_STEP_ATTEMPTS}" in done.stderr
+        assert not (tmp_path / "out" / "simulate.json").exists()
+
+    def test_a_spent_step_budget_is_a_row_error_of_a_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEP_ATTEMPTS", 20)
+        grid = "sweep={integrator: [{t_end: 0.5, record_every: 0.25}, " \
+               "{t_end: 1e300, record_every: 1e299}]}"
+        assert run(["sweep", *SMALL_SET, "--set", grid, "--out", tmp_path]) == 0
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"].startswith("error: integration stopped at t=")
 
     def test_denormal_beta_on_constant_potential_runs(self, tmp_path):
         # beta * min weight underflows to 0 while the potential's sup norm

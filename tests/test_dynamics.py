@@ -272,6 +272,23 @@ class TestIntegrate:
             with pytest.raises(StiffnessError, match="step size underflow"):
                 g.integrate("fpe", rho0, spec, cfg)
 
+    def test_a_run_to_a_far_end_spends_its_step_budget(self, monkeypatch):
+        # at equilibrium the step is bound by stability, so t_end = 1e300
+        # is never reached: the budget ends the run, however far t_end is
+        monkeypatch.setattr(dynamics, "MAX_STEP_ATTEMPTS", 50)
+        spec, rho0 = _decay_instance("fpe")
+        cfg = g.IntegratorConfig(t_end=1e300, record_every=1e299)
+        with pytest.raises(g.ConvergenceError,
+                           match=r"stopped at t=.* of t_end=1e\+300 after 50 step attempts "
+                                 r"\(\d+ accepted\).*MAX_STEP_ATTEMPTS = 50"):
+            g.integrate("fpe", rho0, spec, cfg)
+        # a run needing every attempt of the budget still ends
+        made = g.integrate("fpe", rho0, spec, g.IntegratorConfig(t_end=4.0, record_every=0.05))
+        used = made.stats.accepted + sum(made.stats.rejected.values())
+        monkeypatch.setattr(dynamics, "MAX_STEP_ATTEMPTS", used)
+        assert g.integrate("fpe", rho0, spec, g.IntegratorConfig(
+            t_end=4.0, record_every=0.05)).stats == made.stats
+
     def test_overflowing_error_estimate_counts_as_error(self, monkeypatch):
         # at 1e-300 the scaled error's squares overflow, but every stage and
         # the estimate itself are finite: too large an error, not a nan
@@ -595,14 +612,14 @@ class TestColumns:
         star = kept.rho_star
         rhs = dynamics._rhs_closure(kind, spec)
         want = {name: np.full(len(kept), np.nan) for name in dynamics._COLUMNS}
+        linf = np.empty(len(kept))
         for k, row in enumerate(states.rho):
             rho = g.Density(row, spec.weights, mass_tol=1e-10)
             want["mass"][k], want["inf"][k], want["sup"][k] = rho.mass(), rho.inf, rho.sup
             want["F_values"][k] = g.free_energy(rho, spec)
             if star is not None:
                 want["L_values"][k] = g.relative_energy(rho, star)
-            if kind == "master":
-                want["linf"][k] = np.abs(row - 1.0).max()
+            linf[k] = np.abs(row - 1.0).max()
             if dynamics.is_gradient_flow(kind, spec.beta):
                 want["l2m"][k] = g.l2m_norm_sq(row - star.rho, spec.weights)
                 sig = g.TangentVector(rhs(row), spec.weights, mean_tol=1e-9)
@@ -612,6 +629,8 @@ class TestColumns:
         for name in dynamics._COLUMNS:
             np.testing.assert_array_equal(getattr(bare, name), want[name], err_msg=name)
             np.testing.assert_array_equal(getattr(kept, name), want[name], err_msg=name)
+        # the monitor's max_i |rho_i - 1|, derived from the inf and sup columns
+        np.testing.assert_array_equal(np.maximum(kept.sup - 1.0, 1.0 - kept.inf), linf)
 
     @pytest.mark.parametrize("kind", ["fpe", "master"])
     def test_pieces_of_the_dense_output_keep_the_records(self, monkeypatch, kind):
